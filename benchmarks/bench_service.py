@@ -134,12 +134,11 @@ def bench_solver(requests, batch_size: int):
 # ----------------------------------------------------------------------
 # 2. HTTP path: in-process server, concurrent clients
 # ----------------------------------------------------------------------
-async def drive_http(payloads, clients: int, batching: bool, max_wait_ms: float):
+async def drive_http(payloads, clients: int, batching: bool):
     config = ServiceConfig(
         port=0,
         batching=batching,
         cache=False,
-        max_wait_ms=max_wait_ms,
         max_batch_size=256,
     )
     service = PartitionService(config)
@@ -207,11 +206,11 @@ def to_payloads(requests):
     return payloads
 
 
-def bench_http(requests, clients: int, max_wait_ms: float, chunk: int):
+def bench_http(requests, clients: int, chunk: int):
     payloads = to_payloads(requests)
     print(f"\nhttp path ({len(payloads)} requests, {clients} concurrent clients):")
     for label, batching in (("unbatched", False), ("micro-batched", True)):
-        rps, lat = asyncio.run(drive_http(payloads, clients, batching, max_wait_ms))
+        rps, lat = asyncio.run(drive_http(payloads, clients, batching))
         print(
             f"  {label:14s}: {rps:8.0f} req/s   "
             f"p50 {pctl(lat, 50):6.2f} ms   p99 {pctl(lat, 99):6.2f} ms   "
@@ -671,7 +670,7 @@ def bench_saturation(args) -> int:
     # 5% sim shadow-sampling would contend for cores at high RPS and
     # dominate the knee (bench_watch gates shadow overhead separately)
     server_kwargs = dict(
-        port=0, cache=False, max_wait_ms=1.0, shutdown_grace_s=2.0,
+        port=0, cache=False, shutdown_grace_s=2.0,
         surrogate_dir=surrogate_dir, shadow_rate=0.0,
     )
     profiles: dict[str, dict] = {}
@@ -718,7 +717,7 @@ def bench_saturation(args) -> int:
     # knee measures solves, not cache hits)
     bounded = Supervisor(ServiceConfig(
         port=0, cache=True, workers=workers, max_inflight=2,
-        max_wait_ms=1.0, shutdown_grace_s=2.0, metrics_sync_s=0.2,
+        shutdown_grace_s=2.0, metrics_sync_s=0.2,
     ))
     bounded.start()
     try:
@@ -815,9 +814,6 @@ def main(argv=None) -> int:
     parser.add_argument("--clients", type=int, default=16, help="concurrent clients")
     parser.add_argument("--batch", type=int, default=128, help="solver batch size")
     parser.add_argument(
-        "--max-wait-ms", type=float, default=2.0, help="micro-batch window"
-    )
-    parser.add_argument(
         "--with-metrics",
         action="store_true",
         help="include api vectors so responses compute all four metrics",
@@ -872,7 +868,7 @@ def main(argv=None) -> int:
     requests = make_requests(args.requests, args.apps, with_metrics=args.with_metrics)
     speedup = bench_solver(requests, args.batch)
     if not args.skip_http:
-        bench_http(requests, args.clients, args.max_wait_ms, args.batch)
+        bench_http(requests, args.clients, args.batch)
     if speedup < 5.0:
         print(f"\nWARNING: solve-path speedup {speedup:.1f}x below the 5x target")
         return 1

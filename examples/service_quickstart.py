@@ -20,7 +20,7 @@ BANDWIDTH = 0.0198  # DDR2-400-ish usable APC budget
 
 
 async def main() -> None:
-    service = PartitionService(ServiceConfig(port=0, max_wait_ms=1.0))
+    service = PartitionService(ServiceConfig(port=0))
     await service.start()
     print(f"service listening on 127.0.0.1:{service.port}\n")
 

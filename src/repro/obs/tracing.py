@@ -16,8 +16,12 @@ tracked in a :mod:`contextvars` context variable, so
   pid, so merged timelines cannot collide.
 
 Completed spans land in a process-wide bounded ring buffer
-(:class:`Tracer`) costing one lock + deque append per span -- spans
-mark *phases*, never per-event work, so the rate is low by design.
+(:class:`Tracer`) costing one lock + a few column writes per span --
+spans mark *phases*, never per-event work, so the rate is low by
+design.  The ring stores spans column-wise and builds
+:class:`SpanRecord` objects only when it is read: a full default ring
+of 65,536 service spans costs about 17 MB, where a list of records
+would cost about 30 MB.
 
 The fast path: ``REPRO_OBS=off`` (or ``configure(enabled=False)``)
 makes ``span(...)`` record nothing -- one attribute read per enter.
@@ -33,7 +37,7 @@ import itertools
 import os
 import threading
 import time
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -150,30 +154,89 @@ class SpanRecord:
 
 
 class Tracer:
-    """Bounded ring buffer of completed spans."""
+    """Bounded ring buffer of completed spans, stored column-wise.
+
+    Ids, times and pid/tid sit in typed ``array`` columns (8 bytes a
+    field instead of a boxed int or float each), names and attrs in
+    plain lists; a parent id of 0 stands for ``None`` (span ids are
+    never 0).  :class:`SpanRecord` objects are built only on reads.
+    Once the ring is full, slot ``_head`` holds the oldest span and is
+    the next one overwritten.
+    """
 
     def __init__(self, capacity: int | None = None) -> None:
         self.capacity = capacity if capacity is not None else _env_ring()
-        self._ring: deque[SpanRecord] = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
+        self._reset()
         self.dropped = 0
 
-    def record(self, rec: SpanRecord) -> None:
+    def _reset(self) -> None:
+        self._names: list[str] = []
+        self._attrs: list[dict | None] = []
+        self._ids = array("q")
+        self._parents = array("q")
+        self._ts = array("d")
+        self._dur = array("d")
+        self._cpu = array("d")
+        self._pids = array("q")
+        self._tids = array("Q")
+        self._head = 0
+
+    def _append(self, name, span_id, parent_id, ts_us, dur_us, cpu_us,
+                pid, tid, attrs) -> None:
+        parent_id = parent_id or 0
         with self._lock:
-            if len(self._ring) == self.capacity:
-                self.dropped += 1
-            self._ring.append(rec)
+            if len(self._names) < self.capacity:
+                self._names.append(name)
+                self._attrs.append(attrs)
+                self._ids.append(span_id)
+                self._parents.append(parent_id)
+                self._ts.append(ts_us)
+                self._dur.append(dur_us)
+                self._cpu.append(cpu_us)
+                self._pids.append(pid)
+                self._tids.append(tid)
+                return
+            i = self._head
+            self._names[i] = name
+            self._attrs[i] = attrs
+            self._ids[i] = span_id
+            self._parents[i] = parent_id
+            self._ts[i] = ts_us
+            self._dur[i] = dur_us
+            self._cpu[i] = cpu_us
+            self._pids[i] = pid
+            self._tids[i] = tid
+            self._head = (i + 1) % self.capacity
+            self.dropped += 1
+
+    def record(self, rec: SpanRecord) -> None:
+        self._append(rec.name, rec.span_id, rec.parent_id, rec.ts_us,
+                     rec.dur_us, rec.cpu_us, rec.pid, rec.tid,
+                     rec.attrs or None)
+
+    def _records(self) -> list[SpanRecord]:
+        """The ring's spans as records, oldest first."""
+        head = self._head  # 0 until the ring is full
+        columns = (self._names, self._ids, self._parents, self._ts,
+                   self._dur, self._cpu, self._pids, self._tids, self._attrs)
+        rows = zip(*(col[head:] + col[:head] for col in columns))
+        return [
+            SpanRecord(name, sid, parent or None, ts, dur, cpu, pid, tid,
+                       attrs or {})
+            for name, sid, parent, ts, dur, cpu, pid, tid, attrs in rows
+        ]
 
     def spans(self) -> list[SpanRecord]:
         """Snapshot of the ring, oldest first."""
         with self._lock:
-            return list(self._ring)
+            return self._records()
 
     def drain(self) -> list[SpanRecord]:
         """Pop and return everything (how worker processes ship spans)."""
         with self._lock:
-            out = list(self._ring)
-            self._ring.clear()
+            out = self._records()
+            self._reset()
             return out
 
     def ingest(self, records) -> None:
@@ -183,11 +246,11 @@ class Tracer:
 
     def clear(self) -> None:
         with self._lock:
-            self._ring.clear()
+            self._reset()
             self.dropped = 0
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return len(self._names)
 
     def find(self, name: str) -> list[SpanRecord]:
         return [s for s in self.spans() if s.name == name]
@@ -252,21 +315,14 @@ class span:
         c1 = time.thread_time()
         self._live = False
         _CURRENT.reset(self._token)
-        attrs = dict(self.attrs) if self.attrs else {}
+        # copied: a decorator reuses one attrs dict for every call
+        attrs = dict(self.attrs) if self.attrs else None
         if exc_type is not None:
-            attrs["error"] = exc_type.__name__
-        TRACER.record(
-            SpanRecord(
-                name=self.name,
-                span_id=self._sid,
-                parent_id=self._parent,
-                ts_us=self._t0 * 1e6,
-                dur_us=(t1 - self._t0) * 1e6,
-                cpu_us=(c1 - self._c0) * 1e6,
-                pid=os.getpid(),
-                tid=threading.get_ident(),
-                attrs=attrs,
-            )
+            attrs = {**(attrs or {}), "error": exc_type.__name__}
+        TRACER._append(
+            self.name, self._sid, self._parent, self._t0 * 1e6,
+            (t1 - self._t0) * 1e6, (c1 - self._c0) * 1e6,
+            os.getpid(), threading.get_ident(), attrs,
         )
 
     # -- imperative lifecycle ------------------------------------------

@@ -23,8 +23,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="listen port (0 picks a free one)")
     parser.add_argument("--max-batch", type=int, default=defaults.max_batch_size,
                         help="max solves coalesced into one vectorized pass")
-    parser.add_argument("--max-wait-ms", type=float, default=defaults.max_wait_ms,
-                        help="max time the first request waits for companions")
     parser.add_argument("--no-batch", action="store_true",
                         help="solve each request individually (baseline mode)")
     parser.add_argument("--no-cache", action="store_true",
@@ -75,7 +73,6 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
         host=args.host,
         port=args.port,
         max_batch_size=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         batching=not args.no_batch,
         cache=not args.no_cache,
         disk_cache=args.disk_cache,
@@ -104,8 +101,7 @@ async def _run(config: ServiceConfig) -> None:
     mode = "micro-batched" if config.batching else "unbatched"
     print(
         f"repro-serve listening on http://{config.host}:{service.port} "
-        f"({mode}, max_batch={config.max_batch_size}, "
-        f"max_wait={config.max_wait_ms}ms)",
+        f"({mode}, max_batch={config.max_batch_size})",
         flush=True,
     )
     try:

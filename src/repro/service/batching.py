@@ -1,17 +1,20 @@
 """Micro-batching: coalesce concurrent solves into one vectorized pass.
 
-Requests arriving while a solve window is open are queued; the
-collector drains the queue until either ``max_batch_size`` requests
-are gathered or ``max_wait_ms`` has elapsed since the first one, then
-groups compatible requests (same scheme, app count and flags), stacks
-their arrays into ``(batch, n_apps)`` matrices and runs one
-:mod:`repro.core.batch` kernel per group.  Each waiter's future
-resolves to its own row, which is bit-identical to what the scalar
-solver would have produced (see ``repro/core/batch.py``).
+The load decides the batch size; there is no timer.  The collector
+takes the first queued request, drains whatever else is already
+queued (up to ``max_batch_size``), yields to the event loop once so
+that handlers made runnable in the same turn can submit too, drains
+again and solves.  A lone request therefore waits only for that one
+loop turn.  Under load batches still grow, because requests pile up in
+the queue while the loop is busy parsing and solving the previous
+batch.
 
-Under light load the window closes immediately after the lone request
-(the queue is empty), so the added latency is bounded by
-``max_wait_ms`` and only ever paid when there is company to wait for.
+Each batch is split into compatible groups (same scheme, app count and
+flags), whose arrays are stacked into ``(batch, n_apps)`` matrices and
+solved by one :mod:`repro.core.batch` kernel per group.  Each waiter's
+future resolves to its own row, which is bit-identical to what the
+scalar solver would have produced (see ``repro/core/batch.py``), so
+batch composition never changes an answer.
 """
 
 from __future__ import annotations
@@ -105,6 +108,19 @@ class _Pending:
     span_id: int | None = None
 
 
+def _drain(queue: asyncio.Queue[_Pending], batch: list[_Pending],
+           limit: int) -> None:
+    """Move queued requests into ``batch`` until it holds ``limit``."""
+    while len(batch) < limit and not queue.empty():
+        batch.append(queue.get_nowait())
+
+
+def _fail_shutdown(pendings: list[_Pending]) -> None:
+    for pending in pendings:
+        if not pending.future.done():
+            pending.future.set_exception(ConnectionError("service shutting down"))
+
+
 class MicroBatcher:
     """Queue + collector task turning concurrent submits into batches."""
 
@@ -112,12 +128,10 @@ class MicroBatcher:
         self,
         *,
         max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
         on_batch=None,
         partition_solver=None,
     ) -> None:
         self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_ms / 1000.0
         self._on_batch = on_batch
         #: ``(requests) -> rows`` for partition groups; the server
         #: installs a bound solver that times the call and supplies the
@@ -146,13 +160,9 @@ class MicroBatcher:
         except asyncio.CancelledError:
             pass
         self._task = None
-        while self._queue is not None and not self._queue.empty():
-            pending = self._queue.get_nowait()
-            if not pending.future.done():
-                pending.future.set_exception(
-                    ConnectionError("service shutting down")
-                )
-        self._queue = None
+        queue, self._queue = self._queue, None
+        if queue is not None:
+            _fail_shutdown([queue.get_nowait() for _ in range(queue.qsize())])
 
     @property
     def running(self) -> bool:
@@ -171,29 +181,20 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     async def _collect(self) -> None:
-        assert self._queue is not None
-        loop = asyncio.get_running_loop()
+        queue, limit = self._queue, self.max_batch_size
+        assert queue is not None
         while True:
-            batch = [await self._queue.get()]
-            deadline = loop.time() + self.max_wait_s
-            while len(batch) < self.max_batch_size:
-                # Fast path: drain whatever is already queued without
-                # yielding; only sleep out the window when the queue is
-                # empty and the batch still has room.
+            batch = [await queue.get()]
+            _drain(queue, batch, limit)
+            if len(batch) < limit:
+                # one loop turn: handlers made runnable alongside the
+                # first submit enqueue now instead of in the next batch
                 try:
-                    batch.append(self._queue.get_nowait())
-                    continue
-                except asyncio.QueueEmpty:
-                    pass
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
+                    await asyncio.sleep(0)
+                except asyncio.CancelledError:
+                    _fail_shutdown(batch)  # already off the queue
+                    raise
+                _drain(queue, batch, limit)
             self._solve_batch(batch)
 
     def _solve_batch(self, batch: list[_Pending]) -> None:

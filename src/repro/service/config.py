@@ -12,10 +12,10 @@ from repro.util.validation import check_positive
 class ServiceConfig:
     """Tunables for :class:`repro.service.server.PartitionService`.
 
-    The two batching knobs trade latency for throughput: an arriving
-    request waits at most ``max_wait_ms`` for companions before the
-    coalesced batch (capped at ``max_batch_size``) is solved in one
-    vectorized numpy pass.
+    Micro-batches form from the load, not from a timer: each holds
+    whatever queued up while the previous one was being solved, capped
+    at ``max_batch_size``, and is solved in one vectorized numpy pass,
+    so a lone request never waits for companions.
     """
 
     host: str = "127.0.0.1"
@@ -23,8 +23,6 @@ class ServiceConfig:
 
     #: coalesce at most this many concurrent solves into one numpy pass
     max_batch_size: int = 64
-    #: how long the first request of a batch waits for companions
-    max_wait_ms: float = 2.0
     #: disable to solve each request individually (the naive baseline mode)
     batching: bool = True
 
@@ -130,7 +128,6 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         check_positive("max_batch_size", self.max_batch_size)
-        check_positive("max_wait_ms", self.max_wait_ms)
         check_positive("request_timeout_s", self.request_timeout_s)
         check_positive("workers", self.workers)
         if self.max_inflight < 0:

@@ -88,11 +88,6 @@ from repro.util.shmcache import SharedResultCache
 
 __all__ = ["PartitionService", "serve"]
 
-try:
-    import json as _json  # noqa: F401  (kept: legacy import surface)
-except ImportError:  # pragma: no cover
-    pass
-
 
 class PartitionService:
     """The advisor service: router, micro-batcher, cache and counters."""
@@ -138,7 +133,6 @@ class PartitionService:
         if self.config.batching:
             self.batcher = MicroBatcher(
                 max_batch_size=self.config.max_batch_size,
-                max_wait_ms=self.config.max_wait_ms,
                 on_batch=self.metrics.observe_batch,
                 partition_solver=self._solve_partition_group,
             )
@@ -712,7 +706,7 @@ class PartitionService:
             deadline.check("the batch solve started")  # shed-before-solve
 
         # The call itself is already a batch: stack by group directly
-        # instead of routing through the collector window.  Sim-sourced
+        # instead of routing through the collector.  Sim-sourced
         # requests (profile "sim" or surrogate fallbacks) cannot stack;
         # they run as parallel worker threads instead.
         groups: dict[tuple, list[tuple[int, PartitionRequest, str | None]]] = {}

@@ -4,16 +4,67 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import gc
+import os
+import threading
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 
 from repro import obs
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import SpanRecord, Tracer
 
 
 def _by_name():
     return {s.name: s for s in obs.tracer().spans()}
+
+
+#: the (name, attrs) of the spans one served call records
+SERVICE_SHAPES = (
+    ("service.request", {"path": "/v1/partition", "method": "POST"}),
+    ("service.queue_wait", {"kind": "partition"}),
+    ("service.solve", {"kind": "partition", "batch": 3, "batched": True}),
+    ("service.serialize", {"status": 200}),
+    ("service.solve", {}),
+)
+
+
+def _records(n, pid=None, first_id=1):
+    """``n`` distinct records shaped like the service's spans.
+
+    pid/tid are fetched per record and every id and time is computed,
+    so each record owns its boxed values -- as ``span`` records do.
+    """
+    out = []
+    for i in range(n):
+        name, attrs = SERVICE_SHAPES[i % len(SERVICE_SHAPES)]
+        span_id = ((os.getpid() & 0xFFFFFF) << 32) | (first_id + i)
+        out.append(SpanRecord(
+            name=name,
+            span_id=span_id,
+            parent_id=None if i % 4 == 0 else span_id - 1,
+            ts_us=1.5e9 + 17.25 * i,
+            dur_us=3.5 + 0.125 * i,
+            cpu_us=0.5 * i,
+            pid=os.getpid() if pid is None else pid,
+            tid=threading.get_ident(),
+            attrs=dict(attrs),
+        ))
+    return out
+
+
+def _traced_bytes(build):
+    """Bytes still allocated after ``build()``, its result kept alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, kept
+    finally:
+        tracemalloc.stop()
 
 
 class TestBasicNesting:
@@ -133,6 +184,62 @@ class TestRingBuffer:
         out = obs.tracer().drain()
         assert [s.name for s in out] == ["x"]
         assert len(obs.tracer()) == 0
+
+    def test_wrapped_ring_returns_newest_oldest_first_field_for_field(self):
+        tracer = Tracer(capacity=16)
+        recs = _records(40)
+        for rec in recs:
+            tracer.record(rec)
+        out = tracer.spans()
+        assert out == recs[-16:]
+        assert [r.parent_id is None for r in out] == [
+            r.parent_id is None for r in recs[-16:]
+        ]
+        assert any(r.parent_id is None for r in out)
+        assert tracer.find("service.queue_wait") == [
+            r for r in recs[-16:] if r.name == "service.queue_wait"
+        ]
+
+    def test_dropped_counts_overwrites_and_drain_empties(self):
+        tracer = Tracer(capacity=8)
+        recs = _records(13)
+        tracer.ingest(recs)
+        assert len(tracer) == 8
+        assert tracer.dropped == 5
+        assert tracer.drain() == recs[-8:]
+        assert len(tracer) == 0
+        assert tracer.spans() == []
+        # refilling after a drain starts from the front again
+        tracer.ingest(recs[:3])
+        assert tracer.spans() == recs[:3]
+        assert tracer.dropped == 5
+        tracer.clear()
+        assert tracer.dropped == 0
+
+    def test_ingest_keeps_worker_pids_and_ids(self):
+        worker_pid = os.getpid() + 1
+        shipped = _records(5, pid=worker_pid, first_id=1000)
+        tracer = Tracer(capacity=64)
+        tracer.ingest(_records(3))
+        tracer.ingest(shipped)
+        merged = tracer.spans()[3:]
+        assert [r.pid for r in merged] == [worker_pid] * 5
+        assert [(r.span_id, r.parent_id) for r in merged] == [
+            (r.span_id, r.parent_id) for r in shipped
+        ]
+
+    def test_ring_costs_at_most_65_percent_of_a_record_list(self):
+        n = 4000
+        list_bytes, _ = _traced_bytes(lambda: _records(n))
+
+        def fill_ring():
+            tracer = Tracer(capacity=n)
+            tracer.ingest(_records(n))
+            return tracer
+
+        ring_bytes, ring = _traced_bytes(fill_ring)
+        assert len(ring) == n
+        assert ring_bytes <= 0.65 * list_bytes, (ring_bytes / n, list_bytes / n)
 
 
 class TestThreads:

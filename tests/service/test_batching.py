@@ -1,4 +1,4 @@
-"""MicroBatcher behaviour: coalescing, windows, error propagation."""
+"""MicroBatcher behaviour: coalescing, load-driven batches, error propagation."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.service.batching import MicroBatcher
+from repro.service.batching import MicroBatcher, solve_partition_rows
 from repro.service.protocol import parse_partition_request
 
 REQ = {"apc_alone": [0.004, 0.007, 0.002], "bandwidth": 0.01}
@@ -27,7 +27,7 @@ def test_concurrent_submissions_coalesce_into_one_batch():
     sizes = []
 
     async def main():
-        batcher = MicroBatcher(max_batch_size=64, max_wait_ms=20.0, on_batch=sizes.append)
+        batcher = MicroBatcher(max_batch_size=64, on_batch=sizes.append)
         await batcher.start()
         try:
             outs = await asyncio.gather(
@@ -47,7 +47,7 @@ def test_batch_size_cap_splits_bursts():
     sizes = []
 
     async def main():
-        batcher = MicroBatcher(max_batch_size=4, max_wait_ms=50.0, on_batch=sizes.append)
+        batcher = MicroBatcher(max_batch_size=4, on_batch=sizes.append)
         await batcher.start()
         try:
             await asyncio.gather(*[batcher.submit(make_request(0.01 + 0.001 * i)) for i in range(10)])
@@ -59,12 +59,12 @@ def test_batch_size_cap_splits_bursts():
     assert max(sizes) <= 4
 
 
-def test_mixed_groups_solved_separately_one_window():
-    """Different schemes share a window but are stacked separately."""
+def test_mixed_groups_solved_separately_one_batch():
+    """Different schemes share a batch but are stacked separately."""
     sizes = []
 
     async def main():
-        batcher = MicroBatcher(max_batch_size=64, max_wait_ms=20.0, on_batch=sizes.append)
+        batcher = MicroBatcher(max_batch_size=64, on_batch=sizes.append)
         await batcher.start()
         try:
             outs = await asyncio.gather(
@@ -78,34 +78,78 @@ def test_mixed_groups_solved_separately_one_window():
         return outs
 
     outs = run(main())
-    assert sizes == [4]  # one collection window...
+    assert sizes == [4]  # one collected batch...
     # ...but only the two (sqrt, 3 apps) requests stacked together; the
     # prop request and the 4-app request each solved in their own group
     assert sorted(size for _, size in outs) == [1, 1, 2, 2]
 
 
-def test_solo_request_latency_is_bounded_by_window():
+def test_lone_request_resolves_within_a_few_loop_turns():
+    """No timer: a lone submit is solved after a fixed number of turns."""
+
     async def main():
-        batcher = MicroBatcher(max_batch_size=64, max_wait_ms=100.0)
+        batcher = MicroBatcher(max_batch_size=64)
         await batcher.start()
-        loop = asyncio.get_running_loop()
-        start = loop.time()
         try:
-            await asyncio.wait_for(batcher.submit(make_request()), timeout=10.0)
+            future = asyncio.ensure_future(batcher.submit(make_request()))
+            turns = 0
+            while not future.done() and turns < 50:
+                await asyncio.sleep(0)
+                turns += 1
+            row, size = await future
         finally:
             await batcher.stop()
-        return loop.time() - start
+        return turns, row, size
 
-    # a lone request pays (at most) the collection window, never more
-    elapsed = run(main())
-    assert elapsed < 2.0
+    turns, row, size = run(main())
+    # start the collector, enqueue, drain, yield once, solve, wake the
+    # submitter: a handful of turns, however fast or slow the host is
+    assert turns <= 8
+    assert size == 1
+    assert row.shape == (3,)
+
+
+def test_requests_arriving_during_a_solve_form_the_next_batch():
+    """Load, not a timer, grows batches: what queues up while one batch
+    is being solved comes out together as the next batch."""
+    sizes = []
+    late = []
+
+    async def main():
+        batcher = None
+
+        def solver(requests):
+            if not late:  # first call: five more callers arrive mid-solve
+                late.extend(
+                    asyncio.ensure_future(
+                        batcher.submit(make_request(0.02 + 0.001 * i))
+                    )
+                    for i in range(5)
+                )
+            return solve_partition_rows(requests)
+
+        batcher = MicroBatcher(
+            max_batch_size=64, on_batch=sizes.append, partition_solver=solver
+        )
+        await batcher.start()
+        try:
+            first = await batcher.submit(make_request())
+            rest = await asyncio.gather(*late)
+        finally:
+            await batcher.stop()
+        return first, rest
+
+    first, rest = run(main())
+    assert sizes == [1, 5]
+    assert first[1] == 1
+    assert [size for _, size in rest] == [5] * 5
 
 
 def test_same_group_requests_solved_together():
     sizes = []
 
     async def main():
-        batcher = MicroBatcher(max_batch_size=8, max_wait_ms=20.0, on_batch=sizes.append)
+        batcher = MicroBatcher(max_batch_size=8, on_batch=sizes.append)
         await batcher.start()
         try:
             outs = await asyncio.gather(
@@ -121,7 +165,7 @@ def test_same_group_requests_solved_together():
 
 def test_solver_error_propagates_to_every_waiter():
     async def main():
-        batcher = MicroBatcher(max_batch_size=8, max_wait_ms=20.0)
+        batcher = MicroBatcher(max_batch_size=8)
         await batcher.start()
         # bypass parse-time validation: the kernel itself must reject a
         # non-finite matrix and fail only the waiters of that group
@@ -160,7 +204,7 @@ def test_submit_after_stop_raises():
 
 def test_stop_fails_queued_requests():
     async def main():
-        batcher = MicroBatcher(max_batch_size=8, max_wait_ms=10.0)
+        batcher = MicroBatcher(max_batch_size=8)
         # enqueue without the collector running: start then immediately
         # freeze by not yielding control until stop
         await batcher.start()
@@ -170,3 +214,27 @@ def test_stop_fails_queued_requests():
         await batcher.stop()
 
     run(main())
+
+
+def test_stop_never_strands_a_submitted_request():
+    """Whichever loop turn stop() lands on -- request still queued, or
+    already taken by the collector -- the submitter gets an answer or
+    a shutdown error, never a future that stays pending."""
+
+    async def main(turns):
+        batcher = MicroBatcher()
+        await batcher.start()
+        future = asyncio.ensure_future(batcher.submit(make_request()))
+        for _ in range(turns):
+            await asyncio.sleep(0)
+        await batcher.stop()
+        await asyncio.wait([future], timeout=1.0)
+        if not future.done():
+            future.cancel()
+            return "stranded"
+        exc = future.exception()
+        return "ok" if exc is None else type(exc).__name__
+
+    outcomes = [run(main(turns)) for turns in range(6)]
+    assert "stranded" not in outcomes
+    assert set(outcomes) == {"ok", "ConnectionError"}

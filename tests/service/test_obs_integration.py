@@ -31,7 +31,6 @@ def _fresh_obs():
 
 def run_with_service(coro_factory, **config_kwargs):
     config_kwargs.setdefault("port", 0)
-    config_kwargs.setdefault("max_wait_ms", 1.0)
 
     async def main():
         service = PartitionService(ServiceConfig(**config_kwargs))

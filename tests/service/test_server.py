@@ -24,7 +24,6 @@ API = [0.03, 0.04, 0.01]
 def run_with_service(coro_factory, **config_kwargs):
     """Start a service on a free port, run the coroutine, tear down."""
     config_kwargs.setdefault("port", 0)
-    config_kwargs.setdefault("max_wait_ms", 1.0)
 
     async def main():
         service = PartitionService(ServiceConfig(**config_kwargs))
@@ -123,7 +122,7 @@ def test_concurrent_requests_coalesce():
                 await c.aclose()
         return outs, await client.metrics()
 
-    outs, metrics = run_with_service(scenario, max_wait_ms=50.0)
+    outs, metrics = run_with_service(scenario)
     assert max(o["batch_size"] for o in outs) >= 2
     assert metrics["batching"]["max_batch_size"] >= 2
 

@@ -23,7 +23,6 @@ API = [0.03, 0.04, 0.01]
 def make_supervisor(**overrides) -> Supervisor:
     overrides.setdefault("workers", 2)
     overrides.setdefault("port", 0)
-    overrides.setdefault("max_wait_ms", 1.0)
     overrides.setdefault("shutdown_grace_s", 1.0)
     overrides.setdefault("restart_backoff_s", 0.05)
     return Supervisor(ServiceConfig(**overrides))
