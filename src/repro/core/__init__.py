@@ -8,6 +8,8 @@ Public surface::
     )
 """
 
+from typing import TYPE_CHECKING, Any
+
 from repro.core.apps import AppProfile, Workload, relative_std
 from repro.core.bandwidth import (
     BandwidthUnit,
@@ -57,7 +59,6 @@ from repro.core.metrics import (
     speedups,
 )
 from repro.core.model import AnalyticalModel, OperatingPoint
-from repro.core.optimizer import PartitionOptimum, optimize_partition
 from repro.core.partitioning import (
     SCHEME_ORDER,
     EqualPartitioning,
@@ -76,6 +77,23 @@ from repro.core.partitioning import (
     scheme_by_name,
 )
 from repro.core.qos import QoSPartitioner, QoSPlan, QoSTarget
+
+if TYPE_CHECKING:
+    from repro.core.optimizer import PartitionOptimum, optimize_partition
+
+#: names served from repro.core.optimizer, which imports scipy; loading
+#: it on first use keeps scipy off paths that never optimize (serving)
+_OPTIMIZER_NAMES = ("PartitionOptimum", "optimize_partition")
+
+
+def __getattr__(name: str) -> Any:
+    if name in _OPTIMIZER_NAMES:
+        from repro.core import optimizer
+
+        value = getattr(optimizer, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AppProfile",

@@ -107,19 +107,31 @@ def conservation_residual(
     allocation returns <= 0.  ``alloc`` may be a single vector or a
     stacked ``(k, n)`` matrix with a scalar or ``(k,)`` budget.
     """
-    x = np.asarray(alloc, dtype=float)
-    b = np.asarray(total_bandwidth, dtype=float)
-    if not np.all(np.isfinite(x)):
+    return _residual(
+        np.asarray(alloc, dtype=float),
+        np.asarray(total_bandwidth, dtype=float),
+        capacity,
+        work_conserving,
+    )
+
+
+def _residual(
+    x: np.ndarray,
+    b: np.ndarray,
+    capacity: np.ndarray | None,
+    work_conserving: bool,
+) -> float:
+    if not np.isfinite(x).all():
         return float("inf")
     totals = x.sum(axis=-1)
-    residual = float(np.max(-x))  # negativity
-    residual = max(residual, float(np.max(totals - b)))  # budget overrun
+    # negativity (max(-x) == -min(x): negation is exact), budget overrun
+    residual = max(float(-x.min()), float((totals - b).max()))
     if capacity is not None:
         cap = np.asarray(capacity, dtype=float)
-        residual = max(residual, float(np.max(x - cap)))  # demand overrun
+        residual = max(residual, float((x - cap).max()))  # demand overrun
         if work_conserving:
             expected = np.minimum(b, cap.sum(axis=-1))
-            residual = max(residual, float(np.max(np.abs(totals - expected))))
+            residual = max(residual, float(np.abs(totals - expected).max()))
     return residual
 
 
@@ -142,17 +154,16 @@ def assert_conservation(
     budget (``CONSERVATION_ATOL + CONSERVATION_RTOL * |B|``) to absorb
     float rounding in the water-filling/greedy loops.
     """
-    residual = conservation_residual(
-        alloc, total_bandwidth, capacity, work_conserving=work_conserving
-    )
-    scale = float(np.max(np.abs(np.asarray(total_bandwidth, dtype=float))))
-    tol = CONSERVATION_ATOL + CONSERVATION_RTOL * max(1.0, scale)
+    x = np.asarray(alloc, dtype=float)
+    b = np.asarray(total_bandwidth, dtype=float)
+    residual = _residual(x, b, capacity, work_conserving)
+    tol = CONSERVATION_ATOL + CONSERVATION_RTOL * max(1.0, float(np.abs(b).max()))
     if residual > tol:
         raise InvariantViolation(
             f"{where}: Eq. 2 conservation violated by {residual:.3e} APC "
             f"(tolerance {tol:.3e}); budget={total_bandwidth!r}"
         )
-    return np.asarray(alloc, dtype=float)
+    return x
 
 
 def normalize_shares(weights: np.ndarray) -> np.ndarray:

@@ -27,6 +27,17 @@ The exception is :func:`batch_qos_plan`: the scalar
 into a dense sub-workload while the batch kernel masks them in place,
 which can reassociate numpy's pairwise summations; agreement there is
 to ~1 ulp, not bit-exact.
+
+Validation
+----------
+Each public entry checks its inputs once and then calls a private
+``_``-prefixed kernel that trusts them: finite ``(k, n)`` float
+matrices of one shape and a finite ``(k,)`` budget, > 0 (>= 0 for the
+knapsack).  Entries that derive shares or values for another kernel
+check the derived array only where its construction does not already
+guarantee the kernel's precondition.  At batch 1, the common case
+when serving, numpy call overhead rather than arithmetic is the cost,
+so every repeated check is a visible share of the solve.
 """
 
 from __future__ import annotations
@@ -69,9 +80,6 @@ POWER_ALPHA: dict[str, float] = {
     "nopart": 1.3,
 }
 
-# historical private alias (pre-surrogate callers)
-_POWER_ALPHA = POWER_ALPHA
-
 #: scheme names accepted by :func:`batch_allocate`
 BATCH_SCHEMES: tuple[str, ...] = (
     "equal",
@@ -93,7 +101,7 @@ def as_request_matrix(name: str, arr: Any) -> np.ndarray:
         raise ConfigurationError(
             f"{name} must be a non-empty (n_requests, n_apps) array, got shape {a.shape}"
         )
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ConfigurationError(f"{name} must be finite")
     return a
 
@@ -106,9 +114,27 @@ def _as_budget_vector(name: str, b: BudgetLike, n_requests: int) -> np.ndarray:
         raise ConfigurationError(
             f"{name} must be scalar or shape ({n_requests},), got {vec.shape}"
         )
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise ConfigurationError(f"{name} must be finite")
-    return vec.copy()
+    return vec
+
+
+def _positive_budget(b: BudgetLike, n_requests: int) -> np.ndarray:
+    vec = _as_budget_vector("total_bandwidth", b, n_requests)
+    if not (vec > 0).all():
+        raise ConfigurationError("total_bandwidth must be > 0 for every request")
+    return vec
+
+
+#: ``np.allclose(row_sums, 1.0, atol=1e-9)`` spelled out: its default
+#: ``rtol=1e-5`` times ``|1.0|`` plus ``atol``
+_ROW_SUM_TOL = 1e-9 + 1e-5
+
+
+def _check_beta_rows(beta: np.ndarray) -> None:
+    # False for NaN and inf sums, as np.allclose is
+    if not (np.abs(beta.sum(axis=1) - 1.0) <= _ROW_SUM_TOL).all():
+        raise ConfigurationError("each beta row must sum to 1")
 
 
 # ----------------------------------------------------------------------
@@ -132,14 +158,17 @@ def batch_capped_allocation(
         raise ConfigurationError(
             f"beta and apc_alone shape mismatch: {beta.shape} vs {demand.shape}"
         )
-    k, n = beta.shape
-    budget = _as_budget_vector("total_bandwidth", total_bandwidth, k)
-    if np.any(budget <= 0):
-        raise ConfigurationError("total_bandwidth must be > 0 for every request")
-    row_sums = beta.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-9):
-        raise ConfigurationError("each beta row must sum to 1")
+    budget = _positive_budget(total_bandwidth, beta.shape[0])
+    _check_beta_rows(beta)
+    return _capped_allocation(beta, budget, demand, work_conserving)
 
+
+def _capped_allocation(
+    beta: np.ndarray,
+    budget: np.ndarray,
+    demand: np.ndarray,
+    work_conserving: bool,
+) -> np.ndarray:
     if not work_conserving:
         return assert_conservation(
             np.minimum(beta * budget[:, None], demand),
@@ -148,6 +177,7 @@ def batch_capped_allocation(
             where="batch_capped_allocation",
         )
 
+    k, n = beta.shape
     alloc = np.zeros_like(demand)
     remaining = budget
     active = beta > 0
@@ -198,16 +228,29 @@ def batch_power_allocation(
     if not np.isfinite(alpha):
         raise ConfigurationError(f"alpha must be finite, got {alpha!r}")
     a = as_request_matrix("apc_alone", apc_alone)
+    return _power_allocation(a, total_bandwidth, alpha, work_conserving)
+
+
+def _power_allocation(
+    a: np.ndarray,
+    total_bandwidth: BudgetLike,
+    alpha: float,
+    work_conserving: bool,
+) -> np.ndarray:
+    """Power-family solve over a validated ``a``: derive and check the
+    shares, validate the budget, then water-fill."""
     w = a**alpha
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
+    if not (np.isfinite(w) & (w >= 0)).all():
         raise ConfigurationError("power weights must be finite and >= 0")
     totals = w.sum(axis=1)
-    if np.any(totals <= 0):
+    if not (totals > 0).all():
         raise ConfigurationError("share weights must not all be zero")
     beta = w / totals[:, None]
-    return batch_capped_allocation(
-        beta, total_bandwidth, a, work_conserving=work_conserving
-    )
+    budget = _positive_budget(total_bandwidth, a.shape[0])
+    # beta lies in [0, 1] by construction, but an overflowing or
+    # subnormal total can still leave a row far from summing to 1
+    _check_beta_rows(beta)
+    return _capped_allocation(beta, budget, a, work_conserving)
 
 
 # ----------------------------------------------------------------------
@@ -238,15 +281,19 @@ def batch_greedy_allocation(
     so each row sees the scalar op sequence exactly.
     """
     demand = as_request_matrix("apc_alone", apc_alone)
-    k, n = demand.shape
     order = np.asarray(order, dtype=int)
-    if order.shape != (k, n):
+    if order.shape != demand.shape:
         raise ConfigurationError(
-            f"order must have shape {(k, n)}, got {order.shape}"
+            f"order must have shape {demand.shape}, got {order.shape}"
         )
-    budget = _as_budget_vector("total_bandwidth", total_bandwidth, k)
-    if np.any(budget <= 0):
-        raise ConfigurationError("total_bandwidth must be > 0 for every request")
+    budget = _positive_budget(total_bandwidth, demand.shape[0])
+    return _greedy_allocation(order, budget, demand)
+
+
+def _greedy_allocation(
+    order: np.ndarray, budget: np.ndarray, demand: np.ndarray
+) -> np.ndarray:
+    k, n = demand.shape
     alloc = np.zeros_like(demand)
     remaining = budget
     rows = np.arange(k)
@@ -281,24 +328,27 @@ def batch_allocate(
     Row ``i`` of the result equals
     ``scheme_by_name(scheme).allocate(workload_i, B_i)`` bit-for-bit.
     """
-    apc_alone = as_request_matrix("apc_alone", apc_alone)
-    if not np.all(apc_alone > 0):
+    a = as_request_matrix("apc_alone", apc_alone)
+    if not (a > 0).all():
         # mirror AppProfile's validation: a zero APC_alone app would
         # produce infinite power-family weights downstream
         raise ConfigurationError("apc_alone must be > 0")
-    if scheme in _POWER_ALPHA:
-        return batch_power_allocation(
-            apc_alone,
-            total_bandwidth,
-            _POWER_ALPHA[scheme],
-            work_conserving=work_conserving,
+    alpha = POWER_ALPHA.get(scheme)
+    if alpha is not None:
+        return _power_allocation(a, total_bandwidth, alpha, work_conserving)
+    if scheme == "prio_apc":
+        order = np.argsort(a, axis=1, kind="stable")
+    elif scheme == "prio_api":
+        order = batch_priority_order(scheme, a, api)
+        if order.shape != a.shape:
+            raise ConfigurationError(
+                f"api must have shape {a.shape}, got {order.shape}"
+            )
+    else:
+        raise ConfigurationError(
+            f"unknown scheme {scheme!r}; available: {sorted(BATCH_SCHEMES)}"
         )
-    if scheme in ("prio_apc", "prio_api"):
-        order = batch_priority_order(scheme, apc_alone, api)
-        return batch_greedy_allocation(order, total_bandwidth, apc_alone)
-    raise ConfigurationError(
-        f"unknown scheme {scheme!r}; available: {sorted(BATCH_SCHEMES)}"
-    )
+    return _greedy_allocation(order, _positive_budget(total_bandwidth, a.shape[0]), a)
 
 
 # ----------------------------------------------------------------------
@@ -339,13 +389,18 @@ def batch_solve_fractional_knapsack(
         raise ConfigurationError(
             f"values/capacities shape mismatch: {v.shape} vs {cap.shape}"
         )
-    if np.any(cap < 0):
+    if (cap < 0).any():
         raise ConfigurationError("capacities must be >= 0")
-    k, n = v.shape
-    budget = _as_budget_vector("budgets", budgets, k)
-    if np.any(budget < 0):
+    budget = _as_budget_vector("budgets", budgets, v.shape[0])
+    if (budget < 0).any():
         raise ConfigurationError("budgets must be >= 0")
+    return _solve_fractional_knapsack(v, cap, budget)
 
+
+def _solve_fractional_knapsack(
+    v: np.ndarray, cap: np.ndarray, budget: np.ndarray
+) -> BatchKnapsackSolution:
+    k, n = v.shape
     order = np.argsort(-v, axis=1, kind="stable")
     q = np.zeros_like(cap)
     remaining = budget
@@ -382,7 +437,7 @@ def batch_solve_fractional_knapsack(
 def _positive_row_sums(name: str, terms: np.ndarray) -> np.ndarray:
     """Row sums of ``terms``, guarded against zero/underflow denominators."""
     totals = terms.sum(axis=1)
-    if np.any(totals <= 0) or not np.all(np.isfinite(totals)):
+    if not ((totals > 0) & np.isfinite(totals)).all():
         raise ConfigurationError(f"{name} must sum to a positive finite value per row")
     return totals
 
@@ -400,7 +455,7 @@ def batch_wsp_square_root(apc_alone: np.ndarray, total_bandwidth: BudgetLike) ->
     a = as_request_matrix("apc_alone", apc_alone)
     b = _as_budget_vector("total_bandwidth", total_bandwidth, a.shape[0])
     root_sum = _positive_row_sums("sqrt(apc_alone)", np.sqrt(a))
-    return b / a.shape[1] * np.sum(1.0 / np.sqrt(a), axis=1) / root_sum
+    return b / a.shape[1] * (1.0 / np.sqrt(a)).sum(axis=1) / root_sum
 
 
 def batch_hsp_proportional(apc_alone: np.ndarray, total_bandwidth: BudgetLike) -> np.ndarray:
@@ -462,12 +517,9 @@ def batch_qos_plan(
         raise ConfigurationError(
             f"ipc_targets must have shape {a.shape}, got {t.shape}"
         )
-    if np.any(a <= 0) or np.any(p <= 0):
+    if not ((a > 0).all() and (p > 0).all()):
         raise ConfigurationError("apc_alone and api must be positive")
-    k, n = a.shape
-    budget = _as_budget_vector("total_bandwidth", total_bandwidth, k)
-    if np.any(budget <= 0):
-        raise ConfigurationError("total_bandwidth must be > 0 for every request")
+    budget = _positive_budget(total_bandwidth, a.shape[0])
     if objective not in ("hsp", "minf", "wsp", "ipcsum"):
         raise ConfigurationError(
             f"unknown best-effort objective {objective!r}; "
@@ -478,7 +530,7 @@ def batch_qos_plan(
     if not qos_mask.any():
         raise ConfigurationError("each QoS request needs at least one target")
     targets = np.where(qos_mask, t, 0.0)
-    if np.any(targets < 0) or not np.all(np.isfinite(targets)):
+    if not (np.isfinite(targets) & (targets >= 0)).all():
         raise ConfigurationError("ipc_targets must be finite and >= 0")
     ipc_alone = a / p
 
@@ -486,9 +538,9 @@ def batch_qos_plan(
     reservations = np.where(qos_mask, targets * p, 0.0)
     b_qos = reservations.sum(axis=1)
     b_be = budget - b_qos
-    feasible = (b_be >= -1e-12) & ~np.any(
-        qos_mask & (targets > ipc_alone + 1e-12), axis=1
-    ) & qos_mask.any(axis=1)
+    feasible = (b_be >= -1e-12) & ~(
+        qos_mask & (targets > ipc_alone + 1e-12)
+    ).any(axis=1) & qos_mask.any(axis=1)
     b_be = np.maximum(b_be, 0.0)
 
     be_mask = ~qos_mask
@@ -496,17 +548,19 @@ def batch_qos_plan(
     has_be = be_mask.any(axis=1) & (b_be > 0) & feasible
     if has_be.any():
         # Mask QoS apps out of the best-effort solve in place: zero
-        # weight/capacity means they receive nothing extra.
+        # weight/capacity means they receive nothing extra.  The solved
+        # rows have a finite budget > 0 and finite capacities >= 0; the
+        # derived shares and values are checked as the public kernels
+        # would check them.
         be_a = np.where(be_mask, a, 0.0)
         n_be = be_mask.sum(axis=1)
+        rows = np.where(has_be)[0]
         if objective in ("hsp", "minf"):
             alpha = 0.5 if objective == "hsp" else 1.0
             w = np.where(be_mask, a**alpha, 0.0)
-            beta = w / np.where(has_be, w.sum(axis=1), 1.0)[:, None]
-            rows = np.where(has_be)[0]
-            apc_be = batch_capped_allocation(
-                beta[rows], b_be[rows], be_a[rows]
-            )
+            beta = (w / np.where(has_be, w.sum(axis=1), 1.0)[:, None])[rows]
+            _check_beta_rows(beta)
+            apc_be = _capped_allocation(beta, b_be[rows], be_a[rows], True)
         else:
             # Masked (QoS) items get value 0 and capacity 0: wherever the
             # greedy walk places them, they take nothing.
@@ -514,9 +568,11 @@ def batch_qos_plan(
                 v = np.where(be_mask, 1.0 / (np.maximum(n_be, 1)[:, None] * a), 0.0)
             else:  # ipcsum
                 v = np.where(be_mask, 1.0 / p, 0.0)
-            rows = np.where(has_be)[0]
-            apc_be = batch_solve_fractional_knapsack(
-                v[rows], be_a[rows], b_be[rows]
+            v = v[rows]
+            if not np.isfinite(v).all():
+                raise ConfigurationError("values must be finite")
+            apc_be = _solve_fractional_knapsack(
+                v, be_a[rows], b_be[rows]
             ).quantities
         apc[rows] = np.where(be_mask[rows], apc_be, apc[rows])
 

@@ -44,7 +44,7 @@ def speedups(ipc_shared: np.ndarray, ipc_alone: np.ndarray) -> np.ndarray:
         raise ConfigurationError(
             f"ipc vectors shape mismatch: {shared.shape} vs {alone.shape}"
         )
-    if np.any(alone <= 0):
+    if (alone <= 0).any():
         raise ConfigurationError("ipc_alone must be positive")
     return shared / alone
 
@@ -88,9 +88,9 @@ class HarmonicWeightedSpeedup(Metric):
     label = "Harmonic weighted speedup"
 
     def evaluate(self, ipc_shared: np.ndarray, ipc_alone: np.ndarray) -> float:
-        if np.any(ipc_shared <= 0):
+        if (ipc_shared <= 0).any():
             return 0.0
-        inv_speedup_sum = float(np.sum(ipc_alone / ipc_shared))
+        inv_speedup_sum = float((ipc_alone / ipc_shared).sum())
         if inv_speedup_sum <= 0:
             # every slowdown term underflowed to zero: the limit is +inf
             return float("inf")
@@ -104,7 +104,7 @@ class WeightedSpeedup(Metric):
     label = "Weighted speedup"
 
     def evaluate(self, ipc_shared: np.ndarray, ipc_alone: np.ndarray) -> float:
-        return float(np.mean(ipc_shared / ipc_alone))
+        return float((ipc_shared / ipc_alone).mean())
 
 
 class SumOfIPCs(Metric):
@@ -114,7 +114,7 @@ class SumOfIPCs(Metric):
     label = "Sum of IPCs"
 
     def evaluate(self, ipc_shared: np.ndarray, ipc_alone: np.ndarray) -> float:
-        return float(np.sum(ipc_shared))
+        return float(ipc_shared.sum())
 
 
 class MinFairness(Metric):
@@ -130,7 +130,7 @@ class MinFairness(Metric):
     label = "Minimum fairness"
 
     def evaluate(self, ipc_shared: np.ndarray, ipc_alone: np.ndarray) -> float:
-        return float(len(ipc_shared) * np.min(ipc_shared / ipc_alone))
+        return float(len(ipc_shared) * (ipc_shared / ipc_alone).min())
 
 
 class JainFairness(Metric):
@@ -150,10 +150,10 @@ class JainFairness(Metric):
 
     def evaluate(self, ipc_shared: np.ndarray, ipc_alone: np.ndarray) -> float:
         s = ipc_shared / ipc_alone
-        denom = len(s) * float(np.sum(s * s))
+        denom = len(s) * float((s * s).sum())
         if denom <= 0:
             return 0.0
-        return float(np.sum(s)) ** 2 / denom
+        return float(s.sum()) ** 2 / denom
 
 
 #: the four paper metrics, in the order used throughout the evaluation

@@ -134,6 +134,13 @@ class ServiceMetrics:
         #: label cardinality is bounded by the PROFILES constant
         self.solvers: dict[str, EndpointStats] = {}
         self._path_labels: set[str] = set()
+        # Registry instruments resolved once instead of re-hashing their
+        # labels on every call: per path label (bounded by
+        # _MAX_PATH_LABELS), per solve source (bounded by PROFILES) and
+        # for the batcher, each made on first use as the registry would.
+        self._path_series: dict[str, tuple[obs.Counter, obs.Histogram]] = {}
+        self._solve_ms: dict[str, obs.Histogram] = {}
+        self._batch_series: tuple | None = None
         # micro-batcher counters
         self.batches = 0
         self.batched_requests = 0
@@ -178,16 +185,26 @@ class ServiceMetrics:
         )
         reg = self.registry
         label = self._path_label(path)
-        reg.counter("service.requests", path=label).inc()
+        series = self._path_series.get(label)
+        if series is None:
+            series = self._path_series[label] = (
+                reg.counter("service.requests", path=label),
+                reg.histogram(
+                    "service.latency_ms",
+                    reservoir=self._latency_window,
+                    path=label,
+                ),
+            )
+        requests, latency = series
+        requests.inc()
+        # failures are rare: their counters keep the registry lookup
         if timeout:
             reg.counter("service.timeouts", path=label).inc()
         if shed:
             reg.counter("service.sheds", path=label).inc()
         if error or timeout or shed:
             reg.counter("service.errors", path=label).inc()
-        reg.histogram(
-            "service.latency_ms", reservoir=self._latency_window, path=label
-        ).observe(latency_ms)
+        latency.observe(latency_ms)
 
     def observe_solve(self, source: str, latency_ms: float) -> None:
         """Record one solve call's latency for engine ``source``.
@@ -202,10 +219,11 @@ class ServiceMetrics:
             stats = self.solvers[source] = EndpointStats(
                 window=self._latency_window
             )
+            self._solve_ms[source] = self.registry.histogram(
+                "service.solve_ms", reservoir=self._latency_window, source=source
+            )
         stats.observe(latency_ms)
-        self.registry.histogram(
-            "service.solve_ms", reservoir=self._latency_window, source=source
-        ).observe(latency_ms)
+        self._solve_ms[source].observe(latency_ms)
 
     def observe_stream(self, event: str) -> None:
         """Count one stream-session lifecycle event.
@@ -220,11 +238,24 @@ class ServiceMetrics:
         self.batches += 1
         self.batched_requests += size
         self.max_batch_size = max(self.max_batch_size, size)
-        reg = self.registry
-        reg.counter("service.batches").inc()
-        reg.counter("service.batched_requests").inc(size)
-        reg.histogram("service.batch_size").observe(size)
-        reg.gauge("service.max_batch_size").set(self.max_batch_size)
+        if self._batch_series is None:
+            reg = self.registry
+            self._batch_series = (
+                reg.counter("service.batches"),
+                reg.counter("service.batched_requests"),
+                reg.histogram("service.batch_size"),
+                reg.gauge("service.max_batch_size"),
+            )
+        batches, batched, sizes, largest = self._batch_series
+        batches.inc()
+        batched.inc(size)
+        sizes.observe(size)
+        largest.set(self.max_batch_size)
+
+    @property
+    def uptime_s(self) -> float:
+        """Seconds since this service's metrics started counting."""
+        return time.monotonic() - self._started
 
     def _speedup_vs_sim(self) -> dict[str, float]:
         """Mean-solve-latency ratio of every engine against the sim path."""
@@ -248,10 +279,10 @@ class ServiceMetrics:
             # additive: the stream-session section (None when the
             # caller has no session manager, e.g. bare-metrics tests)
             "sessions": sessions,
-            "uptime_s": time.monotonic() - self._started,
+            "uptime_s": self.uptime_s,
             "process": {
                 "start_time_unix": self.started_unix,
-                "uptime_s": time.monotonic() - self._started,
+                "uptime_s": self.uptime_s,
                 "pid": os.getpid(),
                 **self.build_info,
             },

@@ -11,6 +11,7 @@ of a stack trace or a NaN.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ def _float_vector(name: str, raw, *, expect_len: int | None = None) -> tuple[flo
         vec = tuple(float(v) for v in raw)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{name} must contain only numbers") from None
-    if not all(np.isfinite(vec)):
+    if not all(map(math.isfinite, vec)):
         raise ConfigurationError(f"{name} must be finite")
     if any(v <= 0 for v in vec):
         raise ConfigurationError(f"{name} values must be > 0")
@@ -73,7 +74,7 @@ def _nonneg_vector(name: str, raw, *, expect_len: int) -> tuple[float, ...]:
         vec = tuple(float(v) for v in raw)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{name} must contain only numbers") from None
-    if not all(np.isfinite(vec)):
+    if not all(map(math.isfinite, vec)):
         raise ConfigurationError(f"{name} must be finite")
     if any(v < 0 for v in vec):
         raise ConfigurationError(f"{name} values must be >= 0")
@@ -89,7 +90,7 @@ def _positive_float(name: str, raw) -> float:
         value = float(raw)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{name} must be a number") from None
-    if not np.isfinite(value) or value <= 0:
+    if not math.isfinite(value) or value <= 0:
         raise ConfigurationError(f"{name} must be a finite number > 0")
     return value
 
@@ -169,7 +170,7 @@ class QoSRequest:
                 "targets": [
                     [i, t]
                     for i, t in enumerate(self.ipc_targets)
-                    if not np.isnan(t)
+                    if not math.isnan(t)
                 ],
                 "objective": self.objective,
             },
@@ -283,7 +284,7 @@ def parse_qos_request(obj) -> QoSRequest:
             raise ConfigurationError(
                 f"target app index {app} out of range [0, {len(apc_alone)})"
             )
-        if not np.isnan(ipc_targets[app]):
+        if not math.isnan(ipc_targets[app]):
             raise ConfigurationError(f"duplicate target for app {app}")
         ipc_targets[app] = _positive_float("ipc_target", t["ipc_target"])
     return QoSRequest(
@@ -432,7 +433,7 @@ def parse_counter_push(
         window = float(obj.get("window_cycles"))
     except (TypeError, ValueError):
         raise ConfigurationError("window_cycles must be a number") from None
-    if not np.isfinite(window) or window < 0:
+    if not math.isfinite(window) or window < 0:
         raise ConfigurationError("window_cycles must be a finite number >= 0")
     accesses = _nonneg_vector("accesses", obj.get("accesses"), expect_len=n_apps)
     interference_raw = obj.get("interference_cycles")

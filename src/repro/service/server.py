@@ -55,6 +55,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
+import os
+import sys
 import time
 
 import numpy as np
@@ -87,6 +89,21 @@ from repro.util.errors import ConfigurationError, InfeasibleError
 from repro.util.shmcache import SharedResultCache
 
 __all__ = ["PartitionService", "serve"]
+
+
+if sys.version_info >= (3, 11):
+
+    async def _within(awaitable, timeout_s: float):
+        """Await ``awaitable`` in the calling task, bounded by ``timeout_s``.
+
+        Raises ``asyncio.TimeoutError`` like ``asyncio.wait_for``, but
+        without wrapping the handler in a Task of its own.
+        """
+        async with asyncio.timeout(timeout_s):
+            return await awaitable
+
+else:  # asyncio.timeout arrived in 3.11
+    _within = asyncio.wait_for
 
 
 class PartitionService:
@@ -269,7 +286,7 @@ class PartitionService:
                             deadline=deadline,
                         )
                     )
-                    status, payload = await asyncio.wait_for(handler, timeout_s)
+                    status, payload = await _within(handler, timeout_s)
                 except DeadlineExceeded as exc:
                     deadline_shed = True
                     status, payload = 504, error_body("DeadlineExceeded", str(exc))
@@ -330,7 +347,7 @@ class PartitionService:
                     return _method_not_allowed(method)
                 return 200, {
                     "status": "ok",
-                    "uptime_s": self.metrics.snapshot()["uptime_s"],
+                    "uptime_s": self.metrics.uptime_s,
                     "batching": self.batcher is not None,
                     "worker_id": self.config.worker_id,
                     "workers": self.config.workers,
@@ -471,8 +488,8 @@ class PartitionService:
         )
         return {
             "worker_id": self.config.worker_id,
-            "pid": self.metrics.snapshot()["process"]["pid"],
-            "uptime_s": self.metrics.snapshot()["uptime_s"],
+            "pid": os.getpid(),
+            "uptime_s": self.metrics.uptime_s,
             "endpoints": {
                 path: stats.dump() for path, stats in self.metrics.endpoints.items()
             },

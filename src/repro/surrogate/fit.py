@@ -219,20 +219,20 @@ def compute_features(
         scheme, apc, band, api=api_arr, work_conserving=work_conserving
     )
     x = grants.x
-    load = np.broadcast_to(x.sum(axis=1, keepdims=True), x.shape)
 
-    def _field(value: np.ndarray | float | None, default: float) -> np.ndarray:
-        if value is None:
-            value = default
-        arr = np.asarray(value, dtype=float)
-        return np.broadcast_to(arr, x.shape)
+    def _filled(value: np.ndarray | float) -> np.ndarray:
+        # a (k, n) copy: at serving sizes np.broadcast_to's read-only
+        # view costs more per call than filling the array does
+        out = np.empty_like(x)
+        out[...] = value
+        return out
 
     return Features(
         x=x,
         g=grants.g,
-        load=load,
-        rho=_field(row_locality, 0.5),
-        sigma=_field(bank_frac, 1.0),
+        load=_filled(x.sum(axis=1, keepdims=True)),
+        rho=_filled(0.5 if row_locality is None else row_locality),
+        sigma=_filled(1.0 if bank_frac is None else bank_frac),
         rank=grants.rank,
     )
 
@@ -264,7 +264,7 @@ def predict_norm(
     """
     a = design_matrix(terms, features)
     y = (a @ np.asarray(coef, dtype=float)).reshape(features.x.shape)
-    return np.clip(y, 0.0, features.x)
+    return y.clip(0.0, features.x)
 
 
 # ----------------------------------------------------------------------

@@ -149,8 +149,6 @@ def normalized_grants(
         rank = np.full((k, n), 0.5)
     else:
         pos = np.empty((k, n))
-        np.put_along_axis(
-            pos, order, np.broadcast_to(np.arange(n, dtype=float), (k, n)), axis=1
-        )
+        pos[rows[:, None], order] = np.arange(n, dtype=float)
         rank = pos / float(n - 1)
     return NormalizedGrants(x=x, g=g, rank=rank)

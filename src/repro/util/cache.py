@@ -55,6 +55,11 @@ SCHEMA_VERSION = 1
 _APP_DIR = "repro-bandwidth-model"
 
 
+#: types :func:`_canonical` returns unchanged (exact types: subclasses,
+#: such as numpy's float64, take the generic path below)
+_EXACT_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _canonical(obj: Any) -> Any:
     """Render a config object as plain JSON-able data, deterministically.
 
@@ -62,6 +67,13 @@ def _canonical(obj: Any) -> Any:
     with their class name so two different config types with identical
     fields cannot collide.
     """
+    # fast paths, rendered exactly as the generic walk renders them:
+    # request vectors are flat float lists or tuples
+    cls = type(obj)
+    if cls in _EXACT_SCALARS:
+        return obj
+    if (cls is list or cls is tuple) and all(type(v) is float for v in obj):
+        return list(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {"__class__": type(obj).__name__}
         for f in dataclasses.fields(obj):

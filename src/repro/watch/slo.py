@@ -54,6 +54,10 @@ SIGNALS: tuple[str, ...] = ("availability", "latency", "staleness")
 #: request at night would otherwise page with an astronomical burn
 DEFAULT_MIN_EVENTS = 10
 
+#: selectors whose matching objectives :class:`SLOEngine` remembers;
+#: request paths are client controlled, so the memo must stay bounded
+_MAX_ROUTED_SELECTORS = 64
+
 
 @dataclass(frozen=True)
 class SLO:
@@ -230,6 +234,8 @@ class SLOEngine:
             for s in self.slos
             if s.signal != "staleness"
         }
+        #: event selector -> the (objective, counts) pairs it feeds
+        self._routes: dict[str, tuple[tuple[SLO, WindowedCounts], ...]] = {}
         #: staleness feeds: selector -> current level
         self._levels: dict[str, float] = {}
         #: objective name -> clock() time the current breach started
@@ -238,15 +244,28 @@ class SLOEngine:
     # ------------------------------------------------------------------
     # event feeds
     # ------------------------------------------------------------------
+    def _routed(self, selector: str) -> tuple[tuple[SLO, WindowedCounts], ...]:
+        """The rate-based objectives an event tagged ``selector`` feeds."""
+        route = self._routes.get(selector)
+        if route is None:
+            route = tuple(
+                (slo, self._counts[slo.name])
+                for slo in self.slos
+                if slo.signal != "staleness" and slo.matches(selector)
+            )
+            if len(self._routes) < _MAX_ROUTED_SELECTORS:
+                self._routes[selector] = route
+        return route
+
     def record_request(
         self, path: str, latency_ms: float, *, error: bool
     ) -> None:
-        for slo in self.slos:
-            if slo.signal == "availability" and slo.matches(path):
-                self._counts[slo.name].record(not error)
-            elif slo.signal == "latency" and slo.matches(path) and not error:
+        for slo, counts in self._routed(path):
+            if slo.signal == "availability":
+                counts.record(not error)
+            elif not error:
                 assert slo.threshold_ms is not None  # enforced at init
-                self._counts[slo.name].record(latency_ms <= slo.threshold_ms)
+                counts.record(latency_ms <= slo.threshold_ms)
 
     def record_solve(self, source: str, latency_ms: float) -> None:
         self.record_request(f"solver:{source}", latency_ms, error=False)

@@ -150,6 +150,49 @@ class TestQoSParsing:
         assert parse_qos_request(two).cache_key() == parse_qos_request(swapped).cache_key()
 
 
+# Cache keys address the disk cache and the cross-worker shared cache,
+# which workers on different versions may read; they must never move.
+PARTITION_GOLDEN_KEYS = [
+    (GOOD, "1740a0e8b26a98156439ef9afa7402425bac191f48ddd55fade3649d735fc6ff"),
+    (
+        {
+            "scheme": "prio_api",
+            "apc_alone": [0.004, 0.009, 0.002, 0.006],
+            "api": [0.03, 0.05, 0.01, 0.02],
+            "bandwidth": 1,
+            "metrics": ["wsp", "hsp"],
+            "profile": "surrogate",
+        },
+        "d398baa8e148382d1ed803d43602c70e843b7c5e355ac6d8af503c3e9b17a591",
+    ),
+]
+
+QOS_GOLDEN_KEYS = [
+    (QOS_GOOD, "4dd071efc90190f86782a19a02e5ab4a838832fab1e0effbe70b933a69a83301"),
+    (
+        dict(
+            QOS_GOOD,
+            targets=[
+                {"app": 2, "ipc_target": 0.1},
+                {"app": 0, "ipc_target": 0.05},
+            ],
+            objective="hsp",
+        ),
+        "c03d1b0104d52a5cb58f75387bbe3befa367926465e8567a9864cedf388e0690",
+    ),
+]
+
+
+@pytest.mark.parametrize("payload, digest", PARTITION_GOLDEN_KEYS)
+def test_partition_cache_key_is_pinned(payload, digest):
+    assert parse_partition_request(payload).cache_key() == digest
+
+
+@pytest.mark.parametrize("payload, digest", QOS_GOLDEN_KEYS)
+def test_qos_cache_key_is_pinned(payload, digest):
+    assert parse_qos_request(payload).cache_key() == digest
+
+
 def test_error_body_shape():
     body = error_body("ConfigurationError", "boom")
     assert body == {"error": {"type": "ConfigurationError", "message": "boom"}}

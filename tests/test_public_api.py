@@ -2,6 +2,9 @@
 ``__all__`` (guards against accidental export regressions)."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -29,6 +32,28 @@ def test_all_exports_resolve(package):
 def test_all_entries_unique(package):
     mod = importlib.import_module(package)
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_serving_imports_leave_scipy_unloaded():
+    """repro.core loads its optimizer, and with it scipy, on first use."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import sys\n"
+        "import repro.service.__main__\n"
+        "assert 'scipy' not in sys.modules, 'serving imported scipy'\n"
+        "from repro.core import PartitionOptimum, optimize_partition\n"
+        "assert callable(optimize_partition) and PartitionOptimum\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_top_level_quickstart_surface():

@@ -34,6 +34,13 @@ class TestConfigDigest:
         b = config_digest("alone-point", SimConfig(seed=3))
         assert a == b and len(a) == 64
 
+    def test_digest_is_pinned(self):
+        # every cached profiling run and sweep task is addressed by
+        # this scheme; a moved digest silently orphans them all
+        assert config_digest("alone-point", SimConfig(seed=3)) == (
+            "43370bcda8ddbb191f999ac5184939de96cddb95010d7f87609dca392cfe6513"
+        )
+
     def test_seed_changes_key(self):
         assert config_digest(SimConfig(seed=3)) != config_digest(SimConfig(seed=4))
 

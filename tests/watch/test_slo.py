@@ -188,6 +188,18 @@ class TestBurnRates:
         assert st["fast"]["error_rate"] == pytest.approx(0.5)
         assert st["state"] == "page"
 
+    def test_every_distinct_path_reaches_its_objectives(self):
+        # paths are client controlled; past any memo of seen paths each
+        # event must still feed exactly the objectives it matches
+        prefix = avail_slo(name="p.availability", selector="/v1/p/*")
+        engine, _ = self.engine(prefix, avail_slo())
+        for i in range(200):
+            engine.record_request(f"/v1/p/{i}", 1.0, error=i % 4 == 0)
+            engine.record_request("/v1/t", 1.0, error=False)
+        p, t = engine.status()
+        assert (p["slow"]["total"], p["slow"]["bad"]) == (200, 50)
+        assert (t["slow"]["total"], t["slow"]["bad"]) == (200, 0)
+
     def test_solver_events_route_by_source(self):
         slo = SLO(
             "s.latency", "latency", "solver:sim", objective=0.9,
