@@ -106,6 +106,7 @@ class CoreSim:
         "core_id",
         "spec",
         "addresses",
+        "_next_access",
         "rng",
         "_g",
         "_wf",
@@ -137,6 +138,7 @@ class CoreSim:
         self.core_id = core_id
         self.spec = spec
         self.addresses = address_stream
+        self._next_access = address_stream.next_access
         self.rng = rng
         # hot-path bindings: the RngStream wrapper and dataclass lookups
         # cost more than the draws themselves at ~1 access / 20 cycles
@@ -195,17 +197,11 @@ class CoreSim:
             inv_api = 1.0 / api
         else:
             inv_api, ipc_peak = self._inv_api, self._ipc_peak
-        gap_instr = float(self._g.exponential(inv_api))
+        gap_instr = self._g.exponential(inv_api)
         self._gap_instr = gap_instr
         self._gap_cycles = gap_instr / ipc_peak
         self._gap_start = now
         return now + self._gap_cycles
-
-    def _can_run(self) -> bool:
-        return (
-            self.outstanding_reads < self._mlp
-            and self.pending_writes < self._wq_cap
-        )
 
     def generate_access(self, now: float) -> tuple[Request, float | None]:
         """The scheduled access fires: emit a request.
@@ -224,7 +220,7 @@ class CoreSim:
         is_write = self._g.random() < self._wf
         # the stream hands back decoded coordinates alongside the
         # address, so the controller never pays a decode round-trip
-        addr, channel, bank, row = self.addresses.next_access()
+        addr, channel, bank, row = self._next_access()
         req = Request(self.core_id, addr, is_write, now, channel, bank, row)
         if is_write:
             self.pending_writes += 1
@@ -244,20 +240,32 @@ class CoreSim:
 
         Returns the next access cycle if the core (re)starts, else None.
         """
-        if self.outstanding_reads <= 0:
+        reads = self.outstanding_reads - 1
+        if reads < 0:
             raise SimulationError(f"core {self.core_id}: read underflow")
-        self.outstanding_reads -= 1
-        return self._maybe_resume(now)
+        self.outstanding_reads = reads
+        # resume only a stalled core whose MLP and write queue have room
+        if (
+            self.running
+            or reads >= self._mlp
+            or self.pending_writes >= self._wq_cap
+        ):
+            return None
+        self.stall_cycles += now - self._stall_start
+        self.running = True
+        return self._begin_gap(now)
 
     def drain_write(self, now: float) -> float | None:
         """A posted write drained; resume if this clears the stall."""
-        if self.pending_writes <= 0:
+        writes = self.pending_writes - 1
+        if writes < 0:
             raise SimulationError(f"core {self.core_id}: write underflow")
-        self.pending_writes -= 1
-        return self._maybe_resume(now)
-
-    def _maybe_resume(self, now: float) -> float | None:
-        if self.running or not self._can_run():
+        self.pending_writes = writes
+        if (
+            self.running
+            or self.outstanding_reads >= self._mlp
+            or writes >= self._wq_cap
+        ):
             return None
         self.stall_cycles += now - self._stall_start
         self.running = True

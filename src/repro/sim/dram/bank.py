@@ -33,15 +33,6 @@ class Bank:
     def is_row_hit(self, row: int) -> bool:
         return self.open_row is not None and self.open_row == row
 
-    def record_access(self, start: float, end: float, *, activated: bool, row_hit: bool) -> None:
-        """Update counters after the channel commits an access."""
-        self.n_accesses += 1
-        if activated:
-            self.n_activates += 1
-        if row_hit:
-            self.n_row_hits += 1
-        self.busy_cycles += max(0.0, end - start)
-
     @property
     def row_hit_rate(self) -> float:
         if self.n_accesses == 0:

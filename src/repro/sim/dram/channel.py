@@ -37,13 +37,18 @@ class IssueResult(NamedTuple):
 
     A NamedTuple rather than a frozen dataclass: one is built per data
     burst and frozen-dataclass construction (``object.__setattr__`` per
-    field) showed up in the event-loop profile.
+    field) showed up in the event-loop profile.  :meth:`Channel.issue`
+    builds it with ``tuple.__new__`` directly, skipping the generated
+    ``__new__``'s Python frame.
     """
 
     data_start: float
     data_end: float
     bank_ready: float
     row_hit: bool
+
+
+_new_tuple = tuple.__new__
 
 
 class Channel:
@@ -189,17 +194,29 @@ class Channel:
             raise SimulationError(f"issue at negative cycle {now}")
         bank = self.banks[request.bank]
         is_write = request.is_write
-        earliest_data, activated, row_hit = self._command_timing(
-            bank, request.row, now
-        )
-        bus_earliest = self.bus_free + self._turnaround(is_write)
+        if self._close_page:
+            # _command_timing's close-page case, inlined
+            ready = bank.ready_time
+            earliest_data = (now if now > ready else ready) + self._act_to_data
+            activated, row_hit = True, False
+        else:
+            earliest_data, activated, row_hit = self._command_timing(
+                bank, request.row, now
+            )
+        # _turnaround, inlined: a direction switch delays the bus
+        bus_free = self.bus_free
+        last = self._last_was_write
+        if last is None or last == is_write:
+            bus_earliest = bus_free
+        else:
+            bus_earliest = bus_free + (self._twtr if last else self._trtw)
         data_start = (
             earliest_data if earliest_data > bus_earliest else bus_earliest
         )
         if data_start + self._burst > self._next_refresh:
             data_start = self._apply_refresh(data_start)
         data_end = data_start + self._burst
-        if data_start < self.bus_free - 1e-9:
+        if data_start < bus_free - 1e-9:
             raise SimulationError("data bus double-booked")
 
         recovery = self._twr if is_write else 0.0
@@ -215,7 +232,6 @@ class Channel:
             bank.ready_time = max(data_start, data_end + recovery - self._cl)
             bank.open_row = request.row
 
-        # Bank.record_access, inlined (one call per data burst)
         bank.n_accesses += 1
         if activated:
             bank.n_activates += 1
@@ -226,7 +242,9 @@ class Channel:
         self.bus_busy_cycles += self._burst
         self.n_served += 1
         self._last_was_write = is_write
-        return IssueResult(data_start, data_end, bank.ready_time, row_hit)
+        return _new_tuple(
+            IssueResult, (data_start, data_end, bank.ready_time, row_hit)
+        )
 
     # ------------------------------------------------------------------
     def utilization(self, window_cycles: float) -> float:

@@ -31,13 +31,6 @@ class DRAMSystem:
         request.bank = self.mapper.bank_index(d)
         request.row = d.row
 
-    def earliest_data_start(self, request: Request, now: float) -> float:
-        """When could this (decoded) request start its data transfer?"""
-        ch = self.channels[request.channel]
-        return ch.earliest_data_start(
-            request.bank, request.row, now, is_write=request.is_write
-        )
-
     def bank_ready_by(self, request: Request, now: float, deadline: float) -> bool:
         """Scheduler readiness probe (bank timing only; see Channel)."""
         ch = self.channels[request.channel]

@@ -2,9 +2,10 @@
 
 Event-driven rather than tick-driven: with the paper's DDR2-400 system,
 one 64 B line occupies the data bus for 100 CPU cycles, so the event
-count is ~4 per memory access and a multi-million-cycle window costs
-only tens of thousands of heap operations -- the guide-recommended
-"algorithmic optimization before micro-optimization".
+count is ~3 per memory access (its MISS, the PUMP that issues it and
+its COMPLETE) and a multi-million-cycle window costs only tens of
+thousands of heap operations -- the guide-recommended "algorithmic
+optimization before micro-optimization".
 
 Event kinds (priority-ordered at equal timestamps):
 
@@ -129,6 +130,8 @@ class Engine:
         if dram_cfg.page_policy == "open":
             self._lookahead += dram_cfg.trp_cycles
         self._open_page = dram_cfg.page_policy == "open"
+        self._act_to_data = dram_cfg.trcd_cycles + dram_cfg.cl_cycles
+        self._multi_channel = dram_cfg.n_channels > 1
         self._stall_gated = config.interference_mode == "stalled"
         self._mc_cycles = dram_cfg.mc_cycles
         # Hot-path mirrors of per-app state, kept as plain lists: the
@@ -154,25 +157,23 @@ class Engine:
     def _push(self, time: float, prio: int, payload: object) -> None:
         heapq.heappush(self._heap, (time, prio, next(self._seq), payload))
 
-    def _schedule_pump(self, time: float, channel: int) -> None:
-        if not self._pump_scheduled[channel]:
-            self._pump_scheduled[channel] = True
-            self._push(time, _P_PUMP, channel)
-
     # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
     def _handle_miss(self, core_id: int, now: float) -> None:
-        core = self.cores[core_id]
-        req, next_access = core.generate_access(now)
+        req, next_access = self.cores[core_id].generate_access(now)
         # requests arrive pre-decoded: the address stream stamps
         # channel/bank/row at creation (it owns the same AddressMapper
         # layout), so no decode round-trip here.  Instruction counters
         # are refreshed lazily at the points that read them (epoch,
         # warmup snapshot, finalize), not per miss.
         self.scheduler.enqueue(req, now)
-        # the pump itself reschedules to the right slot if the bus is busy
-        self._schedule_pump(now, req.channel)
+        # wake the channel's pump; it reschedules itself to the right
+        # slot if the bus is busy
+        channel = req.channel
+        if not self._pump_scheduled[channel]:
+            self._pump_scheduled[channel] = True
+            heapq.heappush(self._heap, (now, _P_PUMP, next(self._seq), channel))
         if next_access is not None:
             heapq.heappush(
                 self._heap, (next_access, _P_MISS, next(self._seq), core_id)
@@ -196,96 +197,110 @@ class Engine:
         """
         self._pump_scheduled[channel_index] = False
         scheduler = self.scheduler
+        select = scheduler.select
+        queues = scheduler.queues
         running = self._running
         interf = self._interf
-        chan_filter = channel_index if self.config.dram.n_channels > 1 else None
+        heap = self._heap
+        seq = self._seq
+        mc_cycles = self._mc_cycles
+        stall_gated = self._stall_gated
+        chan_filter = channel_index if self._multi_channel else None
+        channel = self.dram.channels[channel_index]
         # open-page conflicts pay precharge+activate before CAS, so the
         # controller must commit further ahead to keep the bus gapless
         lookahead = self._lookahead
-        channel = self.dram.channels[channel_index]
-        open_page = self._open_page
-        stall_gated = self._stall_gated
-        while scheduler.has_pending(chan_filter):
-            if channel.bus_free > now + lookahead + 1e-9:
-                self._schedule_pump(channel.bus_free - lookahead, channel_index)
-                return
-            bus_free_before = channel.bus_free
-            deadline = now if now > bus_free_before else bus_free_before
-            # would the bank deliver the moment the bus frees?  Bank
-            # state is frozen until the issue below, so the probe is
-            # memoized per bank (close-page timing is row-independent)
-            # or per (bank, row) within this iteration -- a select may
-            # probe ~queue-depth requests but only ~bank-count answers
-            # exist.
-            memo: dict = {}
+        horizon = now + lookahead + 1e-9
+        # The readiness probe -- would the bank deliver the moment the
+        # bus frees? -- is built once per call and reads each
+        # iteration's ``deadline``/``limit`` from this frame.  Bank state
+        # is frozen until the issue below, so a select may probe
+        # ~queue-depth requests but only ~bank-count answers exist:
+        # close-page timing is row-independent and cheap enough to
+        # recompute inline; the open-page answer is memoized per
+        # (bank, row) within an iteration.
+        deadline = limit = now
+        memo: dict = {}
+        if self._open_page:
             chan_bank_ready = channel.bank_ready_by
-            if open_page:
 
-                def bank_ready(r: Request) -> bool:
-                    key = (r.bank, r.row)
-                    hit = memo.get(key)
-                    if hit is None:
-                        hit = memo[key] = chan_bank_ready(
-                            r.bank, r.row, now, deadline
-                        )
-                    return hit
+            def bank_ready(r: Request) -> bool:
+                key = (r.bank, r.row)
+                hit = memo.get(key)
+                if hit is None:
+                    hit = memo[key] = chan_bank_ready(
+                        r.bank, r.row, now, deadline
+                    )
+                return hit
 
-            else:
+        else:
+            banks = channel.banks
+            act_to_data = self._act_to_data
 
-                def bank_ready(r: Request) -> bool:
-                    key = r.bank
-                    hit = memo.get(key)
-                    if hit is None:
-                        hit = memo[key] = chan_bank_ready(
-                            r.bank, r.row, now, deadline
-                        )
-                    return hit
+            def bank_ready(r: Request) -> bool:
+                # Channel.bank_ready_by's close-page case, inlined
+                ready = banks[r.bank].ready_time
+                return (now if now > ready else ready) + act_to_data <= limit
 
-            req = scheduler.select(now, bank_ready, chan_filter)
+        while True:
+            if chan_filter is None:
+                if not scheduler.total_queued:
+                    return
+            elif not scheduler.has_pending(chan_filter):
+                return
+            bus_free = channel.bus_free
+            if bus_free > horizon:
+                self._pump_scheduled[channel_index] = True
+                heapq.heappush(
+                    heap, (bus_free - lookahead, _P_PUMP, next(seq), channel_index)
+                )
+                return
+            deadline = now if now > bus_free else bus_free
+            limit = deadline + 1e-9
+            if memo:
+                memo.clear()
+            req = select(now, bank_ready, chan_filter)
             if req is None:  # pragma: no cover - defensive
                 return
-            result = channel.issue(req, now)
+            channel.issue(req, now)
+            data_end = channel.bus_free
             req.issued = now
-            completed = req.completed = result.data_end + self._mc_cycles
+            completed = req.completed = data_end + mc_cycles
             # others' queued requests were blocked for the bus time this
             # request consumed (its burst plus any bank-wait bubble);
             # the issue above only touches DRAM state, so reading the
             # queues after it sees the same pending set select saw
-            span = result.data_end - deadline
+            span = data_end - deadline
             rid = req.app_id
             if chan_filter is None:
                 if stall_gated:
-                    for a, q in enumerate(scheduler.queues):
+                    for a, q in enumerate(queues):
                         if q and a != rid and not running[a]:
                             interf[a] += span
                 else:
-                    for a, q in enumerate(scheduler.queues):
+                    for a, q in enumerate(queues):
                         if q and a != rid:
                             interf[a] += span
             else:
                 for a in scheduler.pending_apps(chan_filter):
                     if a != rid and (not stall_gated or not running[a]):
                         interf[a] += span
-            heapq.heappush(
-                self._heap, (completed, _P_COMPLETE, next(self._seq), req)
-            )
+            heapq.heappush(heap, (completed, _P_COMPLETE, next(seq), req))
 
     def _handle_complete(self, req: Request, now: float) -> None:
-        core = self.cores[req.app_id]
-        c = self.counters[req.app_id]
+        app_id = req.app_id
+        c = self.counters[app_id]
         c.latency_sum += now - req.created
         c.latency_count += 1
         if req.is_write:
             c.writes_served += 1
-            resumed = core.drain_write(now)
+            resumed = self.cores[app_id].drain_write(now)
         else:
             c.reads_served += 1
-            resumed = core.complete_read(now)
+            resumed = self.cores[app_id].complete_read(now)
         if resumed is not None:
-            self._running[req.app_id] = True
-            heapq.heappush(
-                self._heap, (resumed, _P_MISS, next(self._seq), req.app_id)
-            )
+            self._running[app_id] = True
+            heapq.heappush(self._heap, (resumed, _P_MISS, next(self._seq), app_id))
 
     def _handle_epoch(self, now: float) -> None:
         self._n_epochs += 1
@@ -353,23 +368,22 @@ class Engine:
         handle_miss = self._handle_miss
         handle_pump = self._handle_pump
         end_guard = end + 1e-9
+        clock = self.now
         while heap:
-            time, prio, _seq, payload = heap[0]
+            # the first event past the window end stops the run
+            time, prio, _seq, payload = heappop(heap)
             if time > end_guard:
                 break
-            heappop(heap)
             n_events += 1
-            if time < self.now - 1e-6:
-                raise SimulationError(
-                    f"time went backwards: {time} < {self.now}"
-                )
+            if time < clock - 1e-6:
+                raise SimulationError(f"time went backwards: {time} < {clock}")
             if not warmup_done and time >= warmup:
                 self._take_warmup_snapshot(warmup)
                 warmup_done = True
                 phase.end()
                 phase = obs.span("engine.measure").begin()
-            if time > self.now:
-                self.now = time
+            if time > clock:
+                clock = time
             if prio == _P_COMPLETE:
                 handle_complete(payload, time)  # type: ignore[arg-type]
             elif prio == _P_MISS:
@@ -382,6 +396,7 @@ class Engine:
                 raise SimulationError(f"unknown event priority {prio}")
 
         phase.end()
+        self.now = clock
         self._n_events = n_events
         if not warmup_done:
             raise SimulationError("simulation ended before the warmup boundary")

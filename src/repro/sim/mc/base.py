@@ -15,13 +15,16 @@ Within one application requests may be served slightly out of order
 and is what hardware does.  *Across* applications the service order is
 exactly the policy under study.
 
-Queue indexing: the engine probes ``has_pending``/``pending_apps`` on
-every pump event, so both are backed by per-(app, channel) pending
-counters maintained incrementally in :meth:`enqueue`/:meth:`_take`
-rather than by scanning the queues (the scans made a saturated channel
-degrade quadratically with queue depth).  A request's ``channel`` must
-therefore be final before it is enqueued (the cores decode addresses at
-request creation).
+Queue indexing: per-channel questions (``has_pending``/``pending_apps``
+/``pending_count`` with a channel, and channel-filtered selects) are
+answered from per-(app, channel) pending counters rather than by
+scanning the queues (the scans made a saturated channel degrade
+quadratically with queue depth).  The counters are built from the
+queues by the first per-channel question and maintained incrementally
+in :meth:`enqueue`/:meth:`_take` after that, so a one-channel run --
+which only ever asks with ``channel=None`` -- never pays for them.  A
+request's ``channel`` must therefore be final before it is enqueued
+(the cores decode addresses at request creation).
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from repro.util.errors import SimulationError
 __all__ = ["Scheduler", "ReadyProbe"]
 
 ReadyProbe = Callable[[Request], bool]
+#: (per-app {channel: pending count}, {channel: pending count})
+_ChannelIndex = tuple[list[dict[int, int]], dict[int, int]]
 
 
 def _always_ready(_req: Request) -> bool:
@@ -56,10 +61,10 @@ class Scheduler(ABC):
         self.total_queued = 0
         self.n_enqueued = 0
         self.n_served = 0
-        #: per-app {channel: pending count} -- the queue index
-        self._chan_pending: list[dict[int, int]] = [{} for _ in range(n_apps)]
-        #: {channel: pending count} across all apps
-        self._chan_total: dict[int, int] = {}
+        #: the queue index -- per-app {channel: pending count} and
+        #: {channel: pending count} across all apps -- or None until the
+        #: first per-channel question (see _channel_index)
+        self._chan_index: _ChannelIndex | None = None
 
     # ------------------------------------------------------------------
     def enqueue(self, request: Request, now: float) -> None:
@@ -69,16 +74,35 @@ class Scheduler(ABC):
         self.queues[app_id].append(request)
         self.total_queued += 1
         self.n_enqueued += 1
-        chan = request.channel
-        counts = self._chan_pending[app_id]
-        counts[chan] = counts.get(chan, 0) + 1
-        self._chan_total[chan] = self._chan_total.get(chan, 0) + 1
+        index = self._chan_index
+        if index is not None:
+            per_app, total = index
+            chan = request.channel
+            counts = per_app[app_id]
+            counts[chan] = counts.get(chan, 0) + 1
+            total[chan] = total.get(chan, 0) + 1
+
+    def _channel_index(self) -> _ChannelIndex:
+        """The per-(app, channel) pending counters, built on first use."""
+        index = self._chan_index
+        if index is None:
+            total: dict[int, int] = {}
+            per_app = []
+            for q in self.queues:
+                counts: dict[int, int] = {}
+                for req in q:
+                    chan = req.channel
+                    counts[chan] = counts.get(chan, 0) + 1
+                    total[chan] = total.get(chan, 0) + 1
+                per_app.append(counts)
+            index = self._chan_index = (per_app, total)
+        return index
 
     def has_pending(self, channel: int | None = None) -> bool:
         """Any queued request (optionally: targeting one channel)."""
         if channel is None:
             return self.total_queued > 0
-        return self._chan_total.get(channel, 0) > 0
+        return self._channel_index()[1].get(channel, 0) > 0
 
     def pending_apps(self, channel: int | None = None) -> Iterator[int]:
         """Applications with at least one queued request (per channel)."""
@@ -87,7 +111,7 @@ class Scheduler(ABC):
                 if q:
                     yield app_id
         else:
-            for app_id, counts in enumerate(self._chan_pending):
+            for app_id, counts in enumerate(self._channel_index()[0]):
                 if counts.get(channel, 0):
                     yield app_id
 
@@ -95,7 +119,7 @@ class Scheduler(ABC):
         """Queued requests of one app (optionally: targeting one channel)."""
         if channel is None:
             return len(self.queues[app_id])
-        return self._chan_pending[app_id].get(channel, 0)
+        return self._channel_index()[0][app_id].get(channel, 0)
 
     def queue_depth(self, app_id: int) -> int:
         return len(self.queues[app_id])
@@ -130,14 +154,10 @@ class Scheduler(ABC):
                 yield req
 
     def _oldest_ready(
-        self, app_id: int, ready: ReadyProbe, channel: int | None = None
+        self, app_id: int, ready: ReadyProbe, channel: int
     ) -> Request | None:
-        """Oldest request of ``app_id`` that passes the readiness probe."""
-        if channel is None:
-            for req in self.queues[app_id]:
-                if ready(req):
-                    return req
-            return None
+        """Oldest request of ``app_id`` on ``channel`` that passes the
+        readiness probe (one-channel selects scan the queue directly)."""
         for req in self.queues[app_id]:
             if req.channel == channel and ready(req):
                 return req
@@ -156,8 +176,12 @@ class Scheduler(ABC):
                 raise SimulationError(f"request {req.seq} not queued") from None
         self.total_queued -= 1
         self.n_served += 1
+        index = self._chan_index
+        if index is None:
+            return req
+        per_app, total = index
         chan = req.channel
-        counts = self._chan_pending[req.app_id]
+        counts = per_app[req.app_id]
         left = counts.get(chan, 0) - 1
         if left <= 0:
             if left < 0:  # pragma: no cover - defensive
@@ -167,11 +191,11 @@ class Scheduler(ABC):
             del counts[chan]
         else:
             counts[chan] = left
-        total = self._chan_total[chan] - 1
-        if total:
-            self._chan_total[chan] = total
+        left = total[chan] - 1
+        if left:
+            total[chan] = left
         else:
-            del self._chan_total[chan]
+            del total[chan]
         return req
 
     def _pop_head(self, app_id: int, channel: int | None = None) -> Request:

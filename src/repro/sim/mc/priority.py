@@ -78,6 +78,17 @@ class PriorityScheduler(Scheduler):
                     best = head
             if best is not None:
                 return self._take(best)
+        if channel is None:
+            queues = self.queues
+            pending = [a for a in self.priority_order if queues[a]]
+            for app_id in pending:
+                for req in queues[app_id]:
+                    if ready(req):
+                        return self._take(req)
+            # nothing bank-ready: highest-priority head eats the bank stall
+            for app_id in pending:
+                return self._take(queues[app_id][0])
+            return None
         # the pending-count index skips empty priority levels outright
         pending = [
             app_id
@@ -88,7 +99,6 @@ class PriorityScheduler(Scheduler):
             req = self._oldest_ready(app_id, ready, channel)
             if req is not None:
                 return self._take(req)
-        # nothing bank-ready: highest-priority head eats the bank stall
         for app_id in pending:
             return self._pop_head(app_id, channel)
         return None

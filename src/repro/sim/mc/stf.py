@@ -106,11 +106,11 @@ class StartTimeFairScheduler(Scheduler):
         ready: ReadyProbe = _always_ready,
         channel: int | None = None,
     ) -> Request | None:
+        queues = self.queues
         if channel is None:
-            queues = self.queues
             pending = [a for a in range(self.n_apps) if queues[a]]
         else:
-            chan_pending = self._chan_pending
+            chan_pending = self._channel_index()[0]
             pending = [
                 a
                 for a in range(self.n_apps)
@@ -121,12 +121,21 @@ class StartTimeFairScheduler(Scheduler):
         # stable sort on tags == ordering by (tag, app_id): ``pending``
         # is built in ascending app order
         pending.sort(key=self._tags.__getitem__)
+        if channel is None:
+            for app_id in pending:
+                for req in queues[app_id]:
+                    if ready(req):
+                        self._advance_tag(app_id)
+                        return self._take(req)
+            # nothing is bank-ready: serve the smallest-tag app's head
+            app_id = pending[0]
+            self._advance_tag(app_id)
+            return self._take(queues[app_id][0])
         for app_id in pending:
             req = self._oldest_ready(app_id, ready, channel)
             if req is not None:
                 self._advance_tag(app_id)
                 return self._take(req)
-        # nothing is bank-ready: serve the smallest-tag app's head anyway
         app_id = pending[0]
         self._advance_tag(app_id)
         return self._pop_head(app_id, channel)

@@ -18,26 +18,32 @@ The generators are deliberately stationary: the paper's model
 characterizes each app by steady-state (API, APC_alone), so a stationary
 stream is the faithful minimal substitute (see DESIGN.md).
 
-Performance: a non-local access needs a (rank, bank, channel, row, col)
--- or (bank-set slot, channel, row, col) -- draw.  When every bound is a
-power of two (the common case: geometry sizes are validated to be
-powers of two and the default footprint is 512 rows), the draw is done
-by reading raw 64-bit words from the PCG64 bit generator and applying
-numpy's own bounded-integer recipe in Python: ``Generator.integers``
-with a bound ``2**k <= 2**32`` consumes one 32-bit half-word (low half
-of a 64-bit word first, high half buffered -- including across calls)
-and maps it through Lemire's multiply-shift, which for a power-of-two
-bound reduces to ``u32 >> (32 - k)`` with no rejection, and a bound of
-1 consumes nothing.  This makes the whole location draw ~3x cheaper
-than one vectorized ``integers`` call while remaining bit-identical to
-the original scalar formulation (asserted against a pre-change golden
-sequence in ``tests/sim/test_stream_golden.py``, and property-tested
-against ``Generator.integers`` directly).  Non-power-of-two bounds fall
-back to the vectorized ``integers`` call; the choice is per stream, so
-the two implementations never interleave on one bit stream.  The
-row-locality uniform draw interleaves with the location draws and
-therefore cannot be hoisted into chunks without changing the sequence;
-it stays a scalar draw on the underlying ``numpy.random.Generator``.
+Performance: every access draws a row-locality uniform (except the
+first), and a non-local access also draws a (rank, bank, channel, row,
+col) -- or (bank-set slot, channel, row, col) -- location.  When every
+location bound is a power of two (the common case: geometry sizes are
+validated to be powers of two and the default footprint is 512 rows),
+both kinds of draw are taken from raw 64-bit PCG64 words, fetched
+``_BLOCK`` at a time with one ``random_raw`` call and consumed in
+order, which reproduces numpy's own recipes bit for bit:
+
+* the uniform is ``(w >> 11) * 2**-53``, what ``Generator.random()``
+  computes from one word;
+* ``Generator.integers`` with a bound ``2**k <= 2**32`` consumes one
+  32-bit half-word (low half of a word first, the high half buffered
+  -- including across draws) and maps it through Lemire's
+  multiply-shift, which for a power-of-two bound reduces to
+  ``u32 >> (32 - k)`` with no rejection; a bound of 1 consumes nothing.
+
+The draw is inlined into :meth:`MissAddressStream.next_access`, so an
+access costs no Generator call.  Reading ahead is invisible: nothing
+else draws from a stream's generator.  The sequence is asserted against
+a pre-change golden in ``tests/sim/test_stream_golden.py`` and
+property-tested there against a fresh ``Generator``'s ``integers`` and
+``random``.  Non-power-of-two bounds fall back to one vectorized
+``integers`` call and a scalar ``random()`` per access; the choice is
+per stream, so the two implementations never interleave on one bit
+stream.
 """
 
 from __future__ import annotations
@@ -52,6 +58,11 @@ from repro.util.rng import RngStream
 from repro.util.validation import check_probability
 
 __all__ = ["StreamSpec", "MissAddressStream"]
+
+#: raw 64-bit words fetched per ``random_raw`` call (power-of-two path)
+_BLOCK = 256
+#: ``Generator.random()`` maps the top 53 bits of a word onto [0, 1)
+_UNIT = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -103,7 +114,8 @@ class MissAddressStream:
         "mapper",
         "row_base",
         "row_span",
-        "_current",
+        "_last",
+        "_col",
         "_bank_set",
         "_bounds",
         "_g",
@@ -111,9 +123,11 @@ class MissAddressStream:
         "_last_col",
         "_n_banks",
         "_layout",
-        "_shifts",
+        "_col_step",
+        "_plan",
         "_n_u32",
-        "_u32buf",
+        "_halves",
+        "_words",
         "_raw",
     )
 
@@ -132,8 +146,10 @@ class MissAddressStream:
         per_app = max(spec.footprint_rows, 1)
         self.row_base = (app_slot * per_app) % max(rows_total - per_app, 1)
         self.row_span = min(per_app, rows_total - self.row_base)
-        #: last produced coordinates: (channel, rank, bank, row, col)
-        self._current: tuple[int, int, int, int, int] | None = None
+        #: the last access as returned -- (line_addr, channel, flat bank,
+        #: row) -- and its column; None before the first access
+        self._last: tuple[int, int, int, int] | None = None
+        self._col = 0
         if spec.bank_set is not None:
             banks_per_channel = config.n_ranks * config.n_banks
             if any(b >= banks_per_channel for b in spec.bank_set):
@@ -161,18 +177,29 @@ class MissAddressStream:
                 config.lines_per_row,
             ]
         self._bounds = np.array(bounds, dtype=np.int64)
-        # power-of-two fast path: per-element right-shift, -1 marking a
-        # bound of 1 (which consumes no randomness); None disables it
-        if all(0 < b <= 1 << 32 and b & (b - 1) == 0 for b in bounds):
-            self._shifts: list[int] | None = [
-                -1 if b == 1 else 33 - b.bit_length() for b in bounds
-            ]
-            self._n_u32 = sum(1 for b in bounds if b > 1)
-        else:
-            self._shifts = None
-            self._n_u32 = 0
+        self._n_u32 = sum(1 for b in bounds if b > 1)
+        # power-of-two path: per location field, the index of the
+        # half-word it reads and the right shift mapping it into the
+        # bound; a bound of 1 reads half-word 0 shifted out to zero
+        # (consuming nothing)
+        plan: list[tuple[int, int]] = []
+        #: unread raw words, next word last (refilled by _refill); None
+        #: selects the Generator fallback
+        self._words: list[int] | None = None
+        if self._n_u32 and all(
+            0 < b <= 1 << 32 and b & (b - 1) == 0 for b in bounds
+        ):
+            drawn = 0
+            for b in bounds:
+                if b == 1:
+                    plan.append((0, 32))
+                else:
+                    plan.append((drawn, 33 - b.bit_length()))
+                    drawn += 1
+            self._words = []
+        self._plan = tuple(plan)
         #: leftover 32-bit half-words (mirrors PCG64's internal buffer)
-        self._u32buf: list[int] = []
+        self._halves: list[int] = []
         # hot-path bindings (skip the RngStream wrapper per draw)
         self._g = rng.generator
         self._raw = rng.generator.bit_generator.random_raw
@@ -187,38 +214,19 @@ class MissAddressStream:
             m._row_shift,
             m._col_shift,
         )
+        self._col_step = 1 << m._col_shift
 
-    def _draw_bounded(self) -> list[int]:
-        """One multi-field bounded draw, bit-identical to per-field
-        ``Generator.integers`` calls (see the module docstring)."""
-        shifts = self._shifts
-        if shifts is None:
-            return self._g.integers(0, self._bounds).tolist()
-        buf = self._u32buf
-        need = self._n_u32 - len(buf)
-        if need > 0:
-            for w in self._raw((need + 1) >> 1).tolist():
-                buf.append(w & 0xFFFFFFFF)
-                buf.append(w >> 32)
-        vals = []
-        i = 0
-        for s in shifts:
-            if s < 0:
-                vals.append(0)
-            else:
-                vals.append(buf[i] >> s)
-                i += 1
-        del buf[:i]
-        return vals
+    def _refill(self) -> list[int]:
+        """Fetch the next ``_BLOCK`` raw words (power-of-two path)."""
+        words = self._raw(_BLOCK)[::-1].tolist()
+        self._words = words
+        return words
 
-    def _random_location(self) -> tuple[int, int, int, int, int]:
-        """One batched (channel, rank, bank, row, col) draw."""
-        if self._bank_set is not None:
-            slot, channel, row_off, col = self._draw_bounded()
-            rank, bank = divmod(self._bank_set[slot], self._n_banks)
-        else:
-            rank, bank, channel, row_off, col = self._draw_bounded()
-        return channel, rank, bank, self.row_base + row_off, col
+    def _uniform(self) -> float:
+        """One row-locality uniform on the power-of-two path, as
+        :meth:`next_access` draws it inline: ``Generator.random()``."""
+        words = self._words or self._refill()
+        return (words.pop() >> 11) * _UNIT
 
     def next_access(self) -> tuple[int, int, int, int]:
         """Produce the next access: (line_addr, channel, flat bank, row).
@@ -228,17 +236,39 @@ class MissAddressStream:
         result can be stamped straight onto a request without a decode
         round-trip.
         """
-        cur = self._current
-        if (
-            cur is not None
-            and self._g.random() < self._locality
-            and cur[4] < self._last_col
-        ):
-            nxt = (cur[0], cur[1], cur[2], cur[3], cur[4] + 1)
+        words = self._words
+        last = self._last
+        if last is not None:
+            if words is None:
+                u = self._g.random()
+            else:
+                if not words:
+                    words = self._refill()
+                u = (words.pop() >> 11) * _UNIT
+            if u < self._locality and self._col < self._last_col:
+                # next column of the same row: only the col field moves
+                self._col += 1
+                last = (last[0] + self._col_step, last[1], last[2], last[3])
+                self._last = last
+                return last
+        if words is None:
+            vals = self._g.integers(0, self._bounds).tolist()
         else:
-            nxt = self._random_location()
-        self._current = nxt
-        channel, rank, bank, row, col = nxt
+            halves = self._halves
+            n_u32 = self._n_u32
+            while len(halves) < n_u32:
+                if not words:
+                    words = self._refill()
+                w = words.pop()
+                halves += (w & 0xFFFFFFFF, w >> 32)
+            vals = [halves[j] >> s for j, s in self._plan]
+            del halves[:n_u32]
+        if self._bank_set is None:
+            rank, bank, channel, row_off, col = vals
+        else:
+            slot, channel, row_off, col = vals
+            rank, bank = divmod(self._bank_set[slot], self._n_banks)
+        row = self.row_base + row_off
         ch_s, rank_s, bank_s, row_s, col_s = self._layout
         addr = (
             (channel << ch_s)
@@ -247,7 +277,9 @@ class MissAddressStream:
             | (row << row_s)
             | (col << col_s)
         )
-        return addr, channel, rank * self._n_banks + bank, row
+        self._col = col
+        last = self._last = (addr, channel, rank * self._n_banks + bank, row)
+        return last
 
     def next_address(self) -> int:
         """Produce the next line address of the stream."""
@@ -256,9 +288,10 @@ class MissAddressStream:
     @property
     def current(self) -> DecodedAddress | None:
         """The coordinates of the most recent access (None before any)."""
-        if self._current is None:
+        if self._last is None:
             return None
-        channel, rank, bank, row, col = self._current
+        _addr, channel, flat_bank, row = self._last
+        rank, bank = divmod(flat_bank, self._n_banks)
         return DecodedAddress(
-            channel=channel, rank=rank, bank=bank, row=row, col=col
+            channel=channel, rank=rank, bank=bank, row=row, col=self._col
         )

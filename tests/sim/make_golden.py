@@ -27,7 +27,7 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_simresults.json"
 def golden_cases():
     """Name -> zero-argument callable returning a SimResult."""
     from repro.sim.cpu import CorePhase, CoreSpec
-    from repro.sim.dram.config import DRAMConfig, ddr2_400
+    from repro.sim.dram.config import DRAMConfig, ddr2_400, ddr2_1600
     from repro.sim.engine import SimConfig, simulate
     from repro.sim.mc.fcfs import FCFSScheduler
     from repro.sim.mc.frfcfs import FRFCFSScheduler
@@ -126,6 +126,38 @@ def golden_cases():
     )
     cases["tcm_hetero5"] = lambda: simulate(
         specs4, lambda n: TCMScheduler(n, epoch_requests=50), short
+    )
+
+    # shapes the exhibit sweeps run: 16 cores on the bus-scaled
+    # DDR2-1600 (Sec. VI-C), an alone-mode profile, and strict priority
+    # with posted writes stalling a core on its write queue
+    fast_bus = SimConfig(
+        dram=ddr2_1600(),
+        warmup_cycles=10_000.0,
+        measure_cycles=100_000.0,
+        seed=7,
+    )
+    specs16_h4 = mix_core_specs("hetero-4", 4)
+    beta16_h4 = np.tile([0.4, 0.3, 0.2, 0.1], 4) / 4
+    cases["stf_16core_ddr2_1600"] = lambda: simulate(
+        specs16_h4, lambda n: StartTimeFairScheduler(n, beta16_h4), fast_bus
+    )
+    lbm = mix_core_specs("hetero-4")[0]
+    cases["fcfs_alone_profile"] = lambda: simulate(
+        [lbm], lambda n: FCFSScheduler(n), short
+    )
+    writer = CoreSpec(
+        name="wr",
+        api=0.01,
+        ipc_peak=0.6,
+        mlp=6,
+        write_fraction=0.4,
+        write_queue_cap=3,
+    )
+    cases["priority_writes"] = lambda: simulate(
+        [*mix_core_specs("hetero-4"), writer],
+        lambda n: PriorityScheduler(n, [4, 2, 3, 1, 0]),
+        short,
     )
     return cases
 

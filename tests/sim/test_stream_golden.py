@@ -1,9 +1,10 @@
-"""Regression: batched stream generation reproduces pre-change sequences.
+"""Regression: block-drawn stream words reproduce pre-change sequences.
 
 ``golden_stream.json`` pins 300-element address sequences (and one
 core's full arrival timeline) produced by the *scalar* pre-optimization
-generators.  The batched draw (:meth:`MissAddressStream._draw_bounded`
-reading raw PCG64 words on the power-of-two fast path) must emit the
+generators.  The power-of-two fast path of
+:meth:`MissAddressStream.next_access` (row-locality uniforms and
+location half-words read from blocks of raw PCG64 words) must emit the
 exact same integers in the exact same order, and the core's
 exponential-gap/write-coin interleaving must be untouched -- otherwise
 every simulation timestamp downstream silently shifts.
@@ -15,13 +16,15 @@ from __future__ import annotations
 
 import json
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.sim.cpu import CorePhase, CoreSim, CoreSpec
+from repro.sim.dram.address import DecodedAddress
 from repro.sim.dram.config import DRAMConfig, ddr2_400
-from repro.sim.stream import MissAddressStream, StreamSpec
+from repro.sim.stream import _BLOCK, MissAddressStream, StreamSpec
 from repro.util.rng import RngStream
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_stream.json"
@@ -83,28 +86,68 @@ def test_arrival_timeline_bit_identical():
 
 
 # ----------------------------------------------------------------------
-# the raw-word recipe vs numpy's own bounded-integer implementation
+# the raw-word recipe vs numpy's own Generator methods
 # ----------------------------------------------------------------------
+def _reference_accesses(stream: MissAddressStream, ref: np.random.Generator, n: int):
+    """The accesses ``stream`` must produce, drawn the original way: one
+    ``ref.random()`` per access after the first, one
+    ``ref.integers(0, bounds)`` per non-local access, composed through
+    the address mapper."""
+    cfg, spec, mapper = stream.config, stream.spec, stream.mapper
+    bounds = np.asarray(stream._bounds)
+    cur: DecodedAddress | None = None
+    out = []
+    for _ in range(n):
+        if (
+            cur is not None
+            and ref.random() < spec.row_locality
+            and cur.col < cfg.lines_per_row - 1
+        ):
+            cur = replace(cur, col=cur.col + 1)
+        else:
+            vals = ref.integers(0, bounds).tolist()
+            if spec.bank_set is None:
+                rank, bank, channel, row_off, col = vals
+            else:
+                slot, channel, row_off, col = vals
+                rank, bank = divmod(spec.bank_set[slot], cfg.n_banks)
+            cur = DecodedAddress(channel, rank, bank, stream.row_base + row_off, col)
+        out.append((mapper.encode(cur), cur.channel, mapper.bank_index(cur), cur.row))
+    return out
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize(
     "spec",
     [
         StreamSpec(),  # pow2 everywhere, includes a bound of 1 (channels)
         StreamSpec(footprint_rows=32),
-        StreamSpec(bank_set=(0, 5, 9, 30)),  # 4-element flat-slot draw
+        StreamSpec(bank_set=(0, 5, 9, 30)),  # 3 half-words: odd, buffered
         StreamSpec(bank_set=(1, 2, 6)),  # non-pow2 bound -> fallback path
         StreamSpec(footprint_rows=300),  # non-pow2 row span -> fallback
     ],
     ids=["default", "small", "banked4", "banked3", "rows300"],
 )
 def test_draw_bounded_matches_generator_integers(seed, spec):
-    """Property promised in the stream module docstring: the fast path
-    is bit-identical to per-call ``Generator.integers``, including the
-    32-bit half-word buffer surviving interleaved full-word draws."""
+    """Property promised in the stream module docstring: both draws of
+    ``next_access`` -- the locality uniform and the bounded location --
+    are bit-identical to a fresh ``Generator``'s ``random`` and
+    ``integers``, including the 32-bit half-word buffer surviving the
+    interleaved whole-word uniforms."""
     stream = MissAddressStream(ddr2_400(), spec, 1, RngStream(seed, "a"))
+    expected = _reference_accesses(stream, RngStream(seed, "a").generator, 200)
+    assert [stream.next_access() for _ in expected] == expected
+    # the path is chosen per stream: pow2 bounds read the word block
+    assert (stream._words is None) == (spec.bank_set == (1, 2, 6)
+                                       or spec.footprint_rows == 300)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_uniform_matches_generator_random(seed):
+    """The block-drawn uniform is ``Generator.random()`` draw for draw,
+    across many block refills and ending mid-block."""
+    stream = MissAddressStream(ddr2_400(), StreamSpec(), 1, RngStream(seed, "a"))
     ref = RngStream(seed, "a").generator
-    bounds = np.asarray(stream._bounds)
-    for i in range(200):
-        assert stream._draw_bounded() == ref.integers(0, bounds).tolist()
-        if i % 3 == 0:  # interleave whole-word draws like row-locality does
-            assert stream._g.random() == ref.random()
+    n = 40 * _BLOCK + 17
+    assert n >= 10_000
+    assert [stream._uniform() for _ in range(n)] == [ref.random() for _ in range(n)]
