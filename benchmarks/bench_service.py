@@ -3,11 +3,15 @@
 
 Two comparisons, both on the closed-form (``sqrt``) endpoint:
 
-1. **Solve path** -- the naive one-request-one-solve loop (exactly what
-   the server runs with ``--no-batch``) against the micro-batched
-   vectorized kernel (one stacked numpy solve per group).  This isolates
-   the speedup the service's batching exists to capture, without HTTP
-   framing noise.  The acceptance bar is >= 5x.
+1. **Solve path** -- a naive one-request-one-solve loop through the
+   scalar scheme API (a ``Workload`` per request, then
+   ``scheme_by_name(...).allocate``) against micro-batched groups
+   through ``solve_partition_rows`` (one stacked numpy solve per group).
+   The server's ``--no-batch`` mode is neither: it calls
+   ``solve_partition_rows`` with one request at a time, which takes the
+   float row kernel.  This isolates the speedup the service's batching
+   exists to capture, without HTTP framing noise.  The acceptance bar
+   is >= 5x.
 
 2. **HTTP path** -- an in-process server on an ephemeral port, hammered
    by concurrent asyncio clients, once with micro-batching enabled and

@@ -15,11 +15,20 @@ Two concerns live here:
   and the slack is redistributed among the remaining applications in
   proportion to their shares -- the behaviour of any work-conserving
   enforcement mechanism such as the paper's start-time-fair scheduler.
+
+The allocators run on rows of Python floats (``*_row_allocation``): at
+the 4-8 apps of a request, a hundred numpy calls on a handful of
+numbers cost more than the arithmetic.  Each row kernel does the
+floating-point operations of the numpy kernel it replaced, in the same
+order, so its answers are bit-identical; :func:`pairwise_sum`
+reproduces numpy's summation order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence, overload
 
 import numpy as np
 
@@ -31,8 +40,11 @@ __all__ = [
     "apc_to_bytes_per_sec",
     "bytes_per_sec_to_apc",
     "normalize_shares",
+    "pairwise_sum",
     "capped_allocation",
+    "capped_row_allocation",
     "greedy_allocation",
+    "greedy_row_allocation",
     "conservation_residual",
     "assert_conservation",
     "CONSERVATION_ATOL",
@@ -135,6 +147,38 @@ def _residual(
     return residual
 
 
+def _row_residual(
+    x: list[float],
+    b: float,
+    capacity: list[float] | None,
+    work_conserving: bool,
+) -> float:
+    """:func:`_residual` of one float row, with the same sums."""
+    if not all(map(math.isfinite, x)):
+        return math.inf
+    total = pairwise_sum(x)
+    residual = max(-min(x), total - b)
+    if capacity is not None:
+        residual = max(residual, max(xi - ci for xi, ci in zip(x, capacity)))
+        if work_conserving:
+            cap_total = pairwise_sum(capacity)
+            expected = b if b < cap_total or b != b else cap_total  # np.minimum
+            residual = max(residual, abs(total - expected))
+    return residual
+
+
+@overload
+def assert_conservation(
+    alloc: list[float],
+    total_bandwidth: float,
+    capacity: list[float] | None = None,
+    *,
+    work_conserving: bool = False,
+    where: str = "allocation",
+) -> list[float]: ...
+
+
+@overload
 def assert_conservation(
     alloc: np.ndarray,
     total_bandwidth: float | np.ndarray,
@@ -142,7 +186,17 @@ def assert_conservation(
     *,
     work_conserving: bool = False,
     where: str = "allocation",
-) -> np.ndarray:
+) -> np.ndarray: ...
+
+
+def assert_conservation(
+    alloc: list[float] | np.ndarray,
+    total_bandwidth: float | np.ndarray,
+    capacity: list[float] | np.ndarray | None = None,
+    *,
+    work_conserving: bool = False,
+    where: str = "allocation",
+) -> list[float] | np.ndarray:
     """Validate the Eq. 2 conservation invariant and return ``alloc``.
 
     Every solver that produces an ``APC_shared`` vector routes its
@@ -153,17 +207,30 @@ def assert_conservation(
     of skewing a figure downstream.  The tolerance scales with the
     budget (``CONSERVATION_ATOL + CONSERVATION_RTOL * |B|``) to absorb
     float rounding in the water-filling/greedy loops.
+
+    ``alloc`` is either an array (a vector or a stacked ``(k, n)``
+    matrix) or a row kernel's list of floats, which is checked, and
+    returned, without a numpy call.
     """
-    x = np.asarray(alloc, dtype=float)
-    b = np.asarray(total_bandwidth, dtype=float)
-    residual = _residual(x, b, capacity, work_conserving)
-    tol = CONSERVATION_ATOL + CONSERVATION_RTOL * max(1.0, float(np.abs(b).max()))
+    if isinstance(alloc, list):
+        b = float(total_bandwidth)
+        row_cap = capacity.tolist() if isinstance(capacity, np.ndarray) else capacity
+        residual = _row_residual(alloc, b, row_cap, work_conserving)
+        scale = abs(b)
+        checked: list[float] | np.ndarray = alloc
+    else:
+        budget = np.asarray(total_bandwidth, dtype=float)
+        cap = None if capacity is None else np.asarray(capacity, dtype=float)
+        checked = np.asarray(alloc, dtype=float)
+        residual = _residual(checked, budget, cap, work_conserving)
+        scale = float(np.abs(budget).max())
+    tol = CONSERVATION_ATOL + CONSERVATION_RTOL * max(1.0, scale)
     if residual > tol:
         raise InvariantViolation(
             f"{where}: Eq. 2 conservation violated by {residual:.3e} APC "
             f"(tolerance {tol:.3e}); budget={total_bandwidth!r}"
         )
-    return x
+    return checked
 
 
 def normalize_shares(weights: np.ndarray) -> np.ndarray:
@@ -175,6 +242,49 @@ def normalize_shares(weights: np.ndarray) -> np.ndarray:
     if total <= 0:
         raise ConfigurationError("share weights must not all be zero")
     return w / total
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """``np.add.reduce`` of a row of floats, bit for bit.
+
+    numpy sums a contiguous float64 row pairwise: fewer than 8 terms in
+    order from 0.0; up to 128 terms in eight running sums, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` before the remainder is added
+    in order; beyond 128 terms, as two halves split at a multiple of 8.
+    The reduction then adds its 0.0 identity, so a row of ``-0.0`` sums
+    to ``0.0``.  The builtin ``sum`` does neither (and compensates from
+    Python 3.12 on).
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return 0.0 + (pairwise_sum(values[:half]) + pairwise_sum(values[half:]))
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for i in range(end, n):
+        total += values[i]
+    return 0.0 + total
+
+
+#: ``np.isclose(shares.sum(), 1.0, atol=1e-9)`` spelled out: its default
+#: ``rtol=1e-5`` times ``|1.0|`` plus ``atol``
+SHARE_SUM_TOL = 1e-9 + 1e-5
 
 
 def capped_allocation(
@@ -203,46 +313,73 @@ def capped_allocation(
             f"beta and apc_alone shape mismatch: {beta.shape} vs {demand.shape}"
         )
     check_positive("total_bandwidth", total_bandwidth)
-    if not np.isclose(beta.sum(), 1.0, atol=1e-9):
-        raise ConfigurationError(f"shares must sum to 1, got {beta.sum()!r}")
-
-    alloc = np.zeros_like(demand)
-    if not work_conserving:
-        return assert_conservation(
-            np.minimum(beta * total_bandwidth, demand),
-            total_bandwidth,
-            demand,
-            where="capped_allocation",
+    shares = beta.ravel().tolist()
+    total = pairwise_sum(shares)
+    if not abs(total - 1.0) <= SHARE_SUM_TOL:
+        raise ConfigurationError(f"shares must sum to 1, got {total!r}")
+    return np.array(
+        capped_row_allocation(
+            shares,
+            float(total_bandwidth),
+            demand.ravel().tolist(),
+            work_conserving=work_conserving,
         )
+    ).reshape(demand.shape)
 
-    active = beta > 0
-    remaining = float(total_bandwidth)
+
+def capped_row_allocation(
+    beta: list[float],
+    budget: float,
+    demand: list[float],
+    *,
+    work_conserving: bool = True,
+    where: str = "capped_allocation",
+) -> list[float]:
+    """The water-fill of :func:`capped_allocation` on one row of floats.
+
+    Trusts its input: the shares sum to 1 and the budget is > 0.  Where
+    the numpy kernel took ``np.minimum(a, b)``, this takes ``b`` on a
+    tie and propagates a NaN ``a``, as numpy does.
+    """
+    if not work_conserving:
+        alloc = [
+            x if (x := s * budget) < d or x != x else d for s, d in zip(beta, demand)
+        ]
+        return assert_conservation(alloc, budget, demand, where=where)
+
+    n = len(beta)
+    alloc = [0.0] * n
+    active = [s > 0 for s in beta]
+    remaining = budget
     # Each round gives every active app its proportional slice of the
     # remaining pool, capped at its residual demand.  Apps that hit their
     # demand leave the active set; at most n rounds are needed.
-    for _ in range(len(beta)):
-        if remaining <= 1e-15 or not np.any(active):
+    for _ in range(n):
+        if remaining <= 1e-15 or True not in active:
             break
-        weights = np.where(active, beta, 0.0)
-        total_w = weights.sum()
+        weights = [s if on else 0.0 for s, on in zip(beta, active)]
+        total_w = pairwise_sum(weights)
         if total_w <= 0:
             break
-        slice_ = remaining * weights / total_w
-        take = np.minimum(slice_, demand - alloc)
-        alloc += take
-        remaining -= float(take.sum())
-        newly_capped = active & (demand - alloc <= 1e-15)
-        if not np.any(newly_capped):
+        # take = np.minimum(remaining * weights / total_w, demand - alloc)
+        take = [
+            x if (x := remaining * w / total_w) < (h := d - a) or x != x else h
+            for w, d, a in zip(weights, demand, alloc)
+        ]
+        alloc = [a + t for a, t in zip(alloc, take)]
+        remaining -= pairwise_sum(take)
+        still = [on and not d - a <= 1e-15 for on, d, a in zip(active, demand, alloc)]
+        if still == active:  # nobody newly capped
             break
-        active &= ~newly_capped
+        active = still
     # A zero-share app receives nothing even in work-conserving mode, so
     # the conserved total is bounded by the demand of the beta > 0 apps.
     return assert_conservation(
         alloc,
-        total_bandwidth,
-        np.where(beta > 0, demand, 0.0),
+        budget,
+        [d if s > 0 else 0.0 for s, d in zip(beta, demand)],
         work_conserving=True,
-        where="capped_allocation",
+        where=where,
     )
 
 
@@ -259,25 +396,46 @@ def greedy_allocation(
     fractional remainder and everyone after it gets nothing
     (paper Sec. III-D/E).
     """
-    demand = np.asarray(apc_alone, dtype=float)
     check_positive("total_bandwidth", total_bandwidth)
-    alloc = np.zeros_like(demand)
-    remaining = float(total_bandwidth)
-    idx_order = np.asarray(order, dtype=int)
-    for idx in idx_order:
+    return np.array(
+        greedy_row_allocation(
+            np.asarray(order, dtype=int).tolist(),
+            float(total_bandwidth),
+            np.asarray(apc_alone, dtype=float).tolist(),
+        )
+    )
+
+
+def greedy_row_allocation(
+    order: list[int],
+    budget: float,
+    demand: list[float],
+    *,
+    where: str = "greedy_allocation",
+) -> list[float]:
+    """The fill of :func:`greedy_allocation` on one row of floats.
+
+    Trusts its input: the budget is > 0.  Each take is the builtin
+    ``min(remaining, demand)``, as the numpy kernel's was.
+    """
+    alloc = [0.0] * len(demand)
+    remaining = budget
+    for idx in order:
         if remaining <= 0:
             break
-        take = min(remaining, float(demand[idx]))
+        d = demand[idx]
+        take = d if d < remaining else remaining
         alloc[idx] = take
         remaining -= take
     # Apps absent from a partial priority order receive nothing, so the
     # conserved total is bounded by the demand of the listed apps.
-    served = np.zeros(demand.shape, dtype=bool)
-    served[idx_order] = True
+    served = [False] * len(demand)
+    for idx in order:
+        served[idx] = True
     return assert_conservation(
         alloc,
-        total_bandwidth,
-        np.where(served, demand, 0.0),
+        budget,
+        [d if on else 0.0 for d, on in zip(demand, served)],
         work_conserving=True,
-        where="greedy_allocation",
+        where=where,
     )

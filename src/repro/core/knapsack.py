@@ -14,6 +14,7 @@ fill items in decreasing value density -- is optimal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,9 @@ def solve_fractional_knapsack(
         Total quantity available (the bandwidth ``B``).
 
     Ties in value density are broken by item index (stable), matching the
-    deterministic priority encoding of the paper's scheduler.
+    deterministic priority encoding of the paper's scheduler.  The fill
+    runs on Python floats; the objective stays a BLAS ``np.dot``, whose
+    summation order is the BLAS build's.
     """
     v = np.asarray(values, dtype=float)
     cap = np.asarray(capacities, dtype=float)
@@ -67,31 +70,40 @@ def solve_fractional_knapsack(
         raise ConfigurationError(
             f"values/capacities must be equal-length 1-D, got {v.shape} vs {cap.shape}"
         )
-    if np.any(cap < 0):
+    caps = cap.tolist()
+    if any(c < 0 for c in caps):
         raise ConfigurationError("capacities must be >= 0")
-    if not np.all(np.isfinite(v)) or not np.all(np.isfinite(cap)):
+    v_row = v.tolist()
+    if not all(map(math.isfinite, v_row)) or not all(map(math.isfinite, caps)):
         raise ConfigurationError("values and capacities must be finite")
     if budget < 0:
         raise ConfigurationError(f"budget must be >= 0, got {budget!r}")
 
-    order = np.argsort(-v, kind="stable")
-    q = np.zeros_like(cap)
+    # ``sorted`` is stable, as ``np.argsort(kind="stable")`` is, and each
+    # take is the builtin ``min(remaining, capacity)``
+    neg = [-x for x in v_row]
+    order = sorted(range(len(v_row)), key=neg.__getitem__)
+    q = [0.0] * len(caps)
     remaining = float(budget)
     split = -1
     for idx in order:
         if remaining <= 0:
             break
-        take = min(remaining, float(cap[idx]))
+        c = caps[idx]
+        take = c if c < remaining else remaining
         q[idx] = take
         remaining -= take
-        if take < cap[idx]:
-            split = int(idx)
+        if take < c:
+            split = idx
             break
+    quantities = np.array(
+        assert_conservation(
+            q, float(budget), caps, work_conserving=True, where="solve_fractional_knapsack"
+        )
+    )
     return KnapsackSolution(
-        quantities=assert_conservation(
-            q, budget, cap, work_conserving=True, where="solve_fractional_knapsack"
-        ),
-        objective=float(np.dot(v, q)),
-        fill_order=order,
+        quantities=quantities,
+        objective=float(np.dot(v, quantities)),
+        fill_order=np.array(order, dtype=np.intp),
         split_item=split,
     )

@@ -12,16 +12,26 @@ vector:
 Any other IPC-based metric can be plugged in by subclassing
 :class:`Metric`; the generic optimizer in :mod:`repro.core.optimizer`
 will maximize it (the versatility claim of paper Sec. III-F).
+
+The four paper metrics evaluate in Python floats, with the sums and
+divisions of the numpy expressions they replaced, so a served response
+pays no numpy call per metric.  Their ``evaluate`` also accepts plain
+sequences of floats.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.bandwidth import pairwise_sum
 from repro.util.errors import ConfigurationError
+
+#: an IPC vector: an array, or a row of floats for the paper metrics
+FloatRow = np.ndarray | Sequence[float]
 
 __all__ = [
     "Metric",
@@ -47,6 +57,38 @@ def speedups(ipc_shared: np.ndarray, ipc_alone: np.ndarray) -> np.ndarray:
     if (alone <= 0).any():
         raise ConfigurationError("ipc_alone must be positive")
     return shared / alone
+
+
+def _row(values: FloatRow) -> Sequence[float]:
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def _ratio(a: float, b: float) -> float:
+    """``a / b`` as numpy divides: a zero ``b`` gives inf or NaN."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a != a or not a:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _ratios(num: Sequence[float], den: Sequence[float]) -> list[float]:
+    try:
+        return [a / b for a, b in zip(num, den)]
+    except ZeroDivisionError:
+        return [_ratio(a, b) for a, b in zip(num, den)]
+
+
+def _minimum(values: Sequence[float]) -> float:
+    """``np.min`` of a non-empty row: NaN wins."""
+    low = values[0]
+    for x in values:
+        if x != x:
+            return x
+        if x < low:
+            low = x
+    return low
 
 
 class Metric(ABC):
@@ -87,14 +129,15 @@ class HarmonicWeightedSpeedup(Metric):
     name = "hsp"
     label = "Harmonic weighted speedup"
 
-    def evaluate(self, ipc_shared: np.ndarray, ipc_alone: np.ndarray) -> float:
-        if (ipc_shared <= 0).any():
+    def evaluate(self, ipc_shared: FloatRow, ipc_alone: FloatRow) -> float:
+        shared, alone = _row(ipc_shared), _row(ipc_alone)
+        if any(x <= 0 for x in shared):
             return 0.0
-        inv_speedup_sum = float((ipc_alone / ipc_shared).sum())
+        inv_speedup_sum = pairwise_sum(_ratios(alone, shared))
         if inv_speedup_sum <= 0:
             # every slowdown term underflowed to zero: the limit is +inf
             return float("inf")
-        return float(len(ipc_shared) / inv_speedup_sum)
+        return len(shared) / inv_speedup_sum
 
 
 class WeightedSpeedup(Metric):
@@ -103,8 +146,9 @@ class WeightedSpeedup(Metric):
     name = "wsp"
     label = "Weighted speedup"
 
-    def evaluate(self, ipc_shared: np.ndarray, ipc_alone: np.ndarray) -> float:
-        return float((ipc_shared / ipc_alone).mean())
+    def evaluate(self, ipc_shared: FloatRow, ipc_alone: FloatRow) -> float:
+        shared = _row(ipc_shared)
+        return _ratio(pairwise_sum(_ratios(shared, _row(ipc_alone))), len(shared))
 
 
 class SumOfIPCs(Metric):
@@ -113,8 +157,8 @@ class SumOfIPCs(Metric):
     name = "ipcsum"
     label = "Sum of IPCs"
 
-    def evaluate(self, ipc_shared: np.ndarray, ipc_alone: np.ndarray) -> float:
-        return float(ipc_shared.sum())
+    def evaluate(self, ipc_shared: FloatRow, ipc_alone: FloatRow) -> float:
+        return pairwise_sum(_row(ipc_shared))
 
 
 class MinFairness(Metric):
@@ -129,8 +173,9 @@ class MinFairness(Metric):
     name = "minf"
     label = "Minimum fairness"
 
-    def evaluate(self, ipc_shared: np.ndarray, ipc_alone: np.ndarray) -> float:
-        return float(len(ipc_shared) * (ipc_shared / ipc_alone).min())
+    def evaluate(self, ipc_shared: FloatRow, ipc_alone: FloatRow) -> float:
+        shared = _row(ipc_shared)
+        return len(shared) * _minimum(_ratios(shared, _row(ipc_alone)))
 
 
 class JainFairness(Metric):

@@ -42,6 +42,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "nearest_rank_percentile",
 ]
 
 
@@ -49,7 +50,7 @@ class CardinalityError(RuntimeError):
     """A metric name exceeded its allowed number of label-sets."""
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
+def nearest_rank_percentile(sorted_values: list[float], q: float) -> float:
     """Nearest-rank percentile of an ascending list (q in [0, 1])."""
     if not sorted_values:
         return 0.0
@@ -129,7 +130,7 @@ class Histogram:
     def percentile(self, q: float) -> float:
         with self._lock:
             window = sorted(self._window)
-        return _percentile(window, q)
+        return nearest_rank_percentile(window, q)
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -143,9 +144,9 @@ class Histogram:
             "max": high if count else 0.0,
             "mean": total / count if count else 0.0,
             "window": len(window),
-            "p50": _percentile(window, 0.50),
-            "p90": _percentile(window, 0.90),
-            "p99": _percentile(window, 0.99),
+            "p50": nearest_rank_percentile(window, 0.50),
+            "p90": nearest_rank_percentile(window, 0.90),
+            "p99": nearest_rank_percentile(window, 0.99),
         }
 
 

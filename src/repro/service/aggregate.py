@@ -25,7 +25,7 @@ import os
 import pathlib
 import time
 
-from repro.service.metrics import _percentile
+from repro.obs.registry import nearest_rank_percentile
 from repro.util.cache import atomic_write_json
 
 __all__ = [
@@ -87,9 +87,9 @@ def _merge_stat_dumps(dumps: list[dict]) -> dict:
         "latency_ms": {
             "window": len(window),
             "mean": sum(window) / len(window) if window else 0.0,
-            "p50": _percentile(window, 0.50),
-            "p90": _percentile(window, 0.90),
-            "p99": _percentile(window, 0.99),
+            "p50": nearest_rank_percentile(window, 0.50),
+            "p90": nearest_rank_percentile(window, 0.90),
+            "p99": nearest_rank_percentile(window, 0.99),
             "max": window[-1] if window else 0.0,
         },
     }

@@ -11,9 +11,11 @@ batch.
 
 Each batch is split into compatible groups (same scheme, app count and
 flags), whose arrays are stacked into ``(batch, n_apps)`` matrices and
-solved by one :mod:`repro.core.batch` kernel per group.  Each waiter's
-future resolves to its own row, which is bit-identical to what the
-scalar solver would have produced (see ``repro/core/batch.py``), so
+solved by one :mod:`repro.core.batch` kernel per group.  An analytic
+group of at most ``ROW_KERNEL_MAX`` numbers skips the stack: each
+request goes from its parsed tuples through the float row kernel.  Each
+waiter's future resolves to its own row, which is bit-identical to what
+the scalar solver would have produced (see ``repro/core/batch.py``), so
 batch composition never changes an answer.
 """
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.core.batch import batch_allocate, batch_qos_plan
+from repro.core.batch import ROW_KERNEL_MAX, batch_allocate, batch_qos_plan, row_allocate
 from repro.service.protocol import PartitionRequest, QoSRequest
 from repro.util.errors import ConfigurationError
 
@@ -44,9 +46,23 @@ def solve_partition_rows(
     :class:`~repro.surrogate.artifact.SurrogateModel` and one
     vectorized ``predict`` answers the whole stack.  Sim-profile
     requests never reach this path -- the server routes them around
-    the batcher to the per-request simulation.
+    the batcher to the per-request simulation.  A small analytic group
+    solves each request from its tuples on the float row kernel.
     """
     first = requests[0]
+    if first.profile != "surrogate" and len(requests) * first.n_apps <= ROW_KERNEL_MAX:
+        return [
+            np.array(
+                row_allocate(
+                    r.scheme,
+                    r.apc_alone,
+                    r.bandwidth,
+                    api=r.api,
+                    work_conserving=r.work_conserving,
+                )
+            )
+            for r in requests
+        ]
     apc_alone = np.array([r.apc_alone for r in requests], dtype=float)
     bandwidth = np.array([r.bandwidth for r in requests], dtype=float)
     api = None

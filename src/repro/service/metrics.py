@@ -25,19 +25,12 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.obs.registry import nearest_rank_percentile
 
 __all__ = ["EndpointStats", "ServiceMetrics"]
 
 #: at most this many distinct path label values before bucketing as "other"
 _MAX_PATH_LABELS = 16
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (q in [0, 1])."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
-    return sorted_values[rank]
 
 
 @dataclass
@@ -93,9 +86,9 @@ class EndpointStats:
             "latency_ms": {
                 "window": len(window),
                 "mean": sum(window) / len(window) if window else 0.0,
-                "p50": _percentile(window, 0.50),
-                "p90": _percentile(window, 0.90),
-                "p99": _percentile(window, 0.99),
+                "p50": nearest_rank_percentile(window, 0.50),
+                "p90": nearest_rank_percentile(window, 0.90),
+                "p99": nearest_rank_percentile(window, 0.99),
                 "max": window[-1] if window else 0.0,
             },
         }

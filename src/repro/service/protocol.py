@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from repro.core.bandwidth import pairwise_sum
 from repro.core.batch import BATCH_SCHEMES
 from repro.core.metrics import metric_by_name
 from repro.util.cache import config_digest
@@ -455,7 +457,7 @@ def parse_counter_push(
 # ----------------------------------------------------------------------
 def partition_response(
     req: PartitionRequest,
-    apc_shared: np.ndarray,
+    apc_shared: np.ndarray | Sequence[float],
     *,
     cached: bool = False,
     batch_size: int = 1,
@@ -469,28 +471,28 @@ def partition_response(
     path.  ``source`` names the engine that actually produced the
     allocation (``analytic`` / ``surrogate`` / ``sim``) -- it differs
     from ``req.profile`` when a surrogate request fell back to the
-    simulator.
+    simulator.  Everything is computed on Python floats, with the sums
+    and divisions of the numpy expressions it replaced.
     """
-    apc = np.asarray(apc_shared, dtype=float)
-    total = apc.sum()
+    apc = _floats(apc_shared)
+    total = pairwise_sum(apc)
     body = {
         "scheme": req.scheme,
         "bandwidth": req.bandwidth,
-        "apc_shared": apc.tolist(),
-        "beta": (apc / total).tolist() if total > 0 else [0.0] * len(apc),
-        "utilized_bandwidth": float(total),
+        "apc_shared": apc,
+        "beta": [x / total for x in apc] if total > 0 else [0.0] * len(apc),
+        "utilized_bandwidth": total,
         "profile": req.profile,
         "source": source if source is not None else req.profile,
         "cached": cached,
         "batch_size": batch_size,
     }
     if req.api is not None:
-        api = np.asarray(req.api, dtype=float)
-        ipc_shared = apc / api
-        ipc_alone = np.asarray(req.apc_alone, dtype=float) / api
-        body["ipc_shared"] = ipc_shared.tolist()
+        ipc_shared = [x / p for x, p in zip(apc, req.api)]
+        ipc_alone = [a / p for a, p in zip(req.apc_alone, req.api)]
+        body["ipc_shared"] = ipc_shared
         body["metrics"] = {
-            name: metric_by_name(name)(ipc_shared, ipc_alone)
+            name: metric_by_name(name).evaluate(ipc_shared, ipc_alone)
             for name in req.metrics
         }
     return body
@@ -516,19 +518,23 @@ def qos_response(
             "QoS targets are infeasible: a target exceeds the app's "
             "standalone IPC or the reservations exceed the total bandwidth"
         )
-    apc = np.asarray(plan_row["apc_shared"], dtype=float)
-    api = np.asarray(req.api, dtype=float)
+    apc = _floats(plan_row["apc_shared"])
     return {
         "objective": req.objective,
         "bandwidth": req.bandwidth,
-        "apc_shared": apc.tolist(),
-        "ipc_shared": (apc / api).tolist(),
+        "apc_shared": apc,
+        "ipc_shared": [x / p for x, p in zip(apc, req.api)],
         "b_qos": float(plan_row["b_qos"]),
         "b_best_effort": float(plan_row["b_best_effort"]),
-        "qos_apps": [int(i) for i in np.flatnonzero(plan_row["qos_mask"])],
+        "qos_apps": [i for i, on in enumerate(_floats(plan_row["qos_mask"])) if on],
         "cached": cached,
         "batch_size": batch_size,
     }
+
+
+def _floats(row: np.ndarray | Sequence) -> list:
+    """A solved row (array or sequence) as a list of Python scalars."""
+    return row.tolist() if isinstance(row, np.ndarray) else list(row)
 
 
 def error_body(exc_type: str, message: str) -> dict:

@@ -3,8 +3,10 @@
 Each public entry validates its inputs once and then runs unchecked
 private kernels.  These properties pin what that must preserve:
 
-* a stacked row equals the same row solved alone and the scalar
-  ``scheme_by_name(...).allocate`` of that row, bit for bit;
+* a stacked row equals the same row solved alone, the scalar
+  ``scheme_by_name(...).allocate`` of that row and ``row_allocate`` of
+  its Python floats, bit for bit -- the stacks run the vectorized
+  kernels, so they check the float row kernels against them;
 * every row satisfies Eq. 2 conservation and non-negativity;
 * every public entry still rejects malformed input with
   :class:`~repro.util.errors.ConfigurationError`.
@@ -35,6 +37,7 @@ from repro.core.batch import (
     batch_qos_plan,
     batch_solve_fractional_knapsack,
     batch_wsp_square_root,
+    row_allocate,
 )
 from repro.util.errors import ConfigurationError
 
@@ -82,8 +85,13 @@ def test_stacked_rows_match_alone_and_scalar(stack, scheme, work_conserving):
             _workload(apc[i], api[i]), float(bandwidth[i]),
             work_conserving=work_conserving,
         )
+        floats = row_allocate(
+            scheme, apc[i].tolist(), float(bandwidth[i]), api=api[i].tolist(),
+            work_conserving=work_conserving,
+        )
         assert np.array_equal(stacked[i], alone), f"row {i} depends on its stack"
         assert np.array_equal(stacked[i], scalar), f"row {i} differs from scalar"
+        assert stacked[i].tolist() == floats, f"row {i} differs from row_allocate"
 
 
 @given(stacks(), st.sampled_from(BATCH_SCHEMES), st.booleans())
@@ -157,6 +165,25 @@ _rejects("allocate-prio_api-nan-api",
 _rejects("allocate-prio_api-api-shape",
          lambda: batch_allocate("prio_api", A, B, api=P[:, :2]))
 
+for _scheme in BATCH_SCHEMES:
+    _rejects(f"row-{_scheme}-nan-demand",
+             lambda s=_scheme: row_allocate(s, NAN_A[1], 0.006, api=P[1]))
+    _rejects(f"row-{_scheme}-zero-demand",
+             lambda s=_scheme: row_allocate(s, _with(A, 0.0)[1], 0.006, api=P[1]))
+    _rejects(f"row-{_scheme}-zero-budget",
+             lambda s=_scheme: row_allocate(s, A[1], 0.0, api=P[1]))
+    _rejects(f"row-{_scheme}-inf-budget",
+             lambda s=_scheme: row_allocate(s, A[1], np.inf, api=P[1]))
+_rejects("row-empty", lambda: row_allocate("sqrt", [], 0.006))
+_rejects("row-unknown-scheme", lambda: row_allocate("nope", A[1], 0.006))
+_rejects("row-prio_api-no-api", lambda: row_allocate("prio_api", A[1], 0.006))
+_rejects("row-prio_api-nan-api",
+         lambda: row_allocate("prio_api", A[1], 0.006, api=_with(P, np.nan)[1]))
+_rejects("row-prio_api-api-shape",
+         lambda: row_allocate("prio_api", A[1], 0.006, api=P[1, :2]))
+_rejects("row-overflowing-weights", lambda: row_allocate("nopart", [1e300, 1e300], 1.0))
+_rejects("row-underflowing-weights", lambda: row_allocate("nopart", [1e-300, 1e-300], 1.0))
+
 for _alpha in (0.0, 0.5, 1.0):
     _rejects(f"power-{_alpha}-nan-demand",
              lambda a=_alpha: batch_power_allocation(NAN_A, B, a))
@@ -192,6 +219,10 @@ _rejects("greedy-zero-budget", lambda: batch_greedy_allocation(ORDER, ZERO_B, A)
 _rejects("greedy-nan-budget", lambda: batch_greedy_allocation(ORDER, NAN_B, A))
 _rejects("greedy-budget-shape", lambda: batch_greedy_allocation(ORDER, SHORT_B, A))
 _rejects("greedy-order-shape", lambda: batch_greedy_allocation(ORDER[:, :2], B, A))
+# row 0 spends its budget before its repeated index comes round again
+_rejects("greedy-order-repeats",
+         lambda: batch_greedy_allocation(np.array([[0, 1, 0], [0, 1, 2]]), B, A))
+_rejects("greedy-order-out-of-range", lambda: batch_greedy_allocation(ORDER + 1, B, A))
 
 _rejects("order-nan-apc", lambda: batch_priority_order("prio_apc", NAN_A, None))
 _rejects("order-nan-api", lambda: batch_priority_order("prio_api", A, _with(P, np.nan)))
