@@ -91,8 +91,9 @@ bench-watch:
 	$(PYTHON) benchmarks/bench_watch.py
 
 # sweep-planner gates: >=30% dedup on the full exhibit registry, and
-# DAG dispatch wall-clock no slower than the legacy pool.map path;
-# writes benchmarks/out/BENCH_sweep.json + sweep_plan.json
+# 2-worker DAG dispatch wall-clock no slower than the serial Runner on
+# the same cold-cache grid; writes benchmarks/out/BENCH_sweep.json +
+# sweep_plan.json
 bench-sweep:
 	@mkdir -p benchmarks/out
 	BENCH_OUT_DIR=benchmarks/out $(PYTHON) benchmarks/bench_sweep.py

@@ -17,9 +17,14 @@ Run:  python examples/online_adaptation.py
 
 import numpy as np
 
+from repro.control import (
+    EMASmoother,
+    EpochController,
+    ProfileTracker,
+    RelativeShiftDetector,
+)
 from repro.core import ProportionalPartitioning
 from repro.sim import (
-    AdaptiveController,
     CorePhase,
     CoreSpec,
     SimConfig,
@@ -42,18 +47,25 @@ specs = [
     CoreSpec(name="background", api=0.003, ipc_peak=0.7, mlp=2),
 ]
 
-controller = AdaptiveController(
-    ProportionalPartitioning(),
-    api=[0.05, 0.02, 0.05, 0.003],  # morph's API declared at its heavy phase
-    names=[s.name for s in specs],
-    smoothing=0.7,
-)
-
 cfg = SimConfig(
     warmup_cycles=0,
     measure_cycles=800_000,
     seed=33,
     epoch_cycles=50_000.0,
+)
+
+# fixed epochs and an EMA(0.7) profile; change detection off
+controller = EpochController(
+    ProportionalPartitioning(),
+    api=[0.05, 0.02, 0.05, 0.003],  # morph's API declared at its heavy phase
+    bandwidth=cfg.dram.peak_apc,
+    epoch_cycles=cfg.epoch_cycles,
+    names=[s.name for s in specs],
+    tracker=ProfileTracker(
+        len(specs),
+        smoother=EMASmoother(alpha=0.7),
+        detector=RelativeShiftDetector(float("inf")),
+    ),
 )
 result = simulate(
     specs,
@@ -62,14 +74,15 @@ result = simulate(
     repartition_hook=controller,
 )
 
+history = [(d.cycle, d.beta) for d in controller.decisions if d.beta is not None]
 print("share trajectory (Proportional controller, epoch = 50k cycles):")
 print(f"{'cycle':>9s}  " + "".join(f"{s.name:>12s}" for s in specs))
-for cycle, beta in controller.history:
+for cycle, beta in history:
     marker = "  <- morph turns heavy" if abs(cycle - PHASE_SWITCH) < 25_000 else ""
     print(f"{cycle:9.0f}  " + "".join(f"{b:12.3f}" for b in beta) + marker)
 
-before = next(b for c, b in controller.history if c < PHASE_SWITCH)
-after = controller.history[-1][1]
+before = next(b for c, b in history if c < PHASE_SWITCH)
+after = controller.latest_beta
 print(f"\nmorph's share: {before[2]:.3f} before the phase change -> "
       f"{after[2]:.3f} after")
 print("final measured IPCs:",

@@ -3,7 +3,7 @@
 Kept as a thin alias so the shortest invocation works:
 
     python -m repro scorecard
-    python -m repro figure2 --parallel
+    python -m repro figure2 --workers 2
 """
 
 import sys

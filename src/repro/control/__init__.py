@@ -2,9 +2,8 @@
 
 The paper's closing loop (Sec. IV-C): profile ``APC_alone`` online with
 the three per-app counters, re-solve the partitioning shares every
-epoch, push them into the scheduler.  This package upgrades the basic
-:class:`repro.sim.controller.AdaptiveController` into a full control
-subsystem:
+epoch, push them into the scheduler.  This package is that loop and
+the tooling around it:
 
 * :mod:`repro.control.smoothing` -- EMA / sliding-window estimate
   smoothing with NaN-aware element-wise semantics;
@@ -15,7 +14,8 @@ subsystem:
   controller and the service's streaming sessions;
 * :mod:`repro.control.controller` -- :class:`EpochController`, the
   engine repartition hook with adaptive epoch windowing and a
-  per-epoch decision log;
+  per-epoch decision log.  With a plain EMA tracker and the detector
+  threshold at infinity it is the fixed-epoch (CBP-style) controller;
 * :mod:`repro.control.oracle` -- :class:`PhaseOracle`, ground-truth
   allocations from a declared phase schedule;
 * :mod:`repro.control.evaluate` -- convergence-lag / tracking-error /

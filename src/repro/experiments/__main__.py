@@ -18,11 +18,9 @@ Flags: ``--quick`` shrinks the measurement windows ~4x (smoke runs; more
 sampling noise); ``--export DIR`` writes tidy CSV/JSON artifacts;
 ``--plan`` compiles the requested exhibits into one deduplicated
 simulation DAG and executes it on the shared worker pool before
-assembling the outputs (``--plan-json PATH`` saves the compiled plan);
-``--parallel`` fans the figure2 grid across CPU cores via the legacy
-grid path.  ``--workers N`` (or ``REPRO_WORKERS``) sizes the shared
-dispatcher for every subcommand; setting a worker count implies
-``--plan`` unless ``--parallel`` was requested.
+assembling the outputs (``--plan-json PATH`` saves the compiled plan).
+``--workers N`` (or ``REPRO_WORKERS``) sizes the shared dispatcher for
+every subcommand; setting a worker count implies ``--plan``.
 """
 
 from __future__ import annotations
@@ -39,9 +37,6 @@ _EXHIBITS = (
     "ablation", "extension", "sensitivity", "scorecard", "predicted",
     "surrogate", "controller", "regression",
 )
-
-# back-compat alias (pre-planner callers imported the underscore name)
-_default_config = default_config
 
 
 def _maybe_export(name: str, result, export_dir: str | None) -> str:
@@ -77,7 +72,6 @@ def run_exhibit(
     name: str,
     quick: bool = False,
     export_dir: str | None = None,
-    parallel: bool = False,
     workers: int | None = None,
     plan_results=None,
 ) -> str:
@@ -96,17 +90,7 @@ def run_exhibit(
     if name == "figure2":
         from repro.experiments import figure2
 
-        if parallel:
-            from repro.experiments.figure2 import FIG2_SCHEMES, Figure2Result
-            from repro.experiments.parallel import ParallelRunner
-            from repro.workloads.mixes import HETERO_MIXES, HOMO_MIXES
-
-            grid = ParallelRunner(
-                default_config(quick), max_workers=workers
-            ).normalized_grid(HOMO_MIXES + HETERO_MIXES, FIG2_SCHEMES)
-            result = Figure2Result(grid=grid)
-        else:
-            result = figure2.run(runner)
+        result = figure2.run(runner)
         return figure2.render(result) + _maybe_export(name, result, export_dir)
     if name == "figure3":
         from repro.experiments import figure3
@@ -267,17 +251,12 @@ def main(argv: list[str] | None = None) -> int:
         help="write the compiled plan (tasks, deps, dedup stats) to PATH",
     )
     parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="fan the simulation grid out across CPU cores (figure2)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
         metavar="N",
-        help="worker-pool size for --plan/--parallel (default: REPRO_WORKERS, "
-        "then all CPU cores); setting it implies --plan unless --parallel",
+        help="worker-pool size for --plan (default: REPRO_WORKERS, then all "
+        "CPU cores); setting it implies --plan",
     )
     parser.add_argument(
         "--update",
@@ -289,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.experiments.dispatch import resolve_workers
 
     workers = resolve_workers(args.workers)
-    use_plan = args.plan or (workers is not None and not args.parallel)
+    use_plan = args.plan or workers is not None
 
     if args.exhibit == "regression":
         from repro.experiments import regression
@@ -338,7 +317,6 @@ def main(argv: list[str] | None = None) -> int:
                 name,
                 quick=args.quick,
                 export_dir=args.export,
-                parallel=args.parallel,
                 workers=workers,
                 plan_results=plan_results,
             )

@@ -274,9 +274,14 @@ def online_vs_static_ablation(
     """Run one scheme fully online (start at Equal shares; re-partition
     every epoch from the Sec. IV-C counters) and compare against the
     static alone-run-profiled partition on the scheme's own metric."""
+    from repro.control import (
+        EMASmoother,
+        EpochController,
+        ProfileTracker,
+        RelativeShiftDetector,
+    )
     from repro.core.metrics import metric_by_name
     from repro.experiments.figure2 import OPTIMAL_FOR
-    from repro.sim.controller import AdaptiveController
 
     metric_name = next(
         (m for m, s in OPTIMAL_FOR.items() if s == scheme_name), "hsp"
@@ -289,11 +294,21 @@ def online_vs_static_ablation(
     profiles = runner.profiles(specs)
     scheme = default_schemes()[scheme_name]
 
-    ctrl = AdaptiveController(
-        scheme, [s.api for s in specs], names=[s.name for s in specs]
-    )
     cfg = replace(runner.sim_config, epoch_cycles=epoch_cycles)
     n = len(specs)
+    # fixed epochs, raw estimates: no smoothing, no change detection
+    ctrl = EpochController(
+        scheme,
+        [s.api for s in specs],
+        bandwidth=cfg.dram.peak_apc,
+        epoch_cycles=cfg.epoch_cycles,
+        names=[s.name for s in specs],
+        tracker=ProfileTracker(
+            n,
+            smoother=EMASmoother(alpha=1.0),
+            detector=RelativeShiftDetector(float("inf")),
+        ),
+    )
     online_sim = simulate(
         specs,
         lambda m: StartTimeFairScheduler(m, np.full(m, 1.0 / m)),

@@ -23,10 +23,11 @@ Executes the task DAG :mod:`repro.experiments.plan` compiles:
   segment) falls back to plain pickling -- the transport is an
   accelerator, never a correctness dependency.
 
-The dispatcher reuses the exact worker entry points of
-:mod:`repro.experiments.parallel` (``profile_task`` / ``run_task``), so
-planned results are bit-identical to both the serial ``Runner`` and the
-``pool.map`` path -- asserted by the test-suite.
+The worker entry points (``profile_task`` / ``run_task`` /
+``heuristic_task``) rebuild each simulation from a small picklable
+description, ``run_task`` through the serial ``Runner``'s
+scheme-to-scheduler wiring, so planned results are bit-identical to the
+serial ``Runner`` -- asserted by the test-suite.
 """
 
 from __future__ import annotations
@@ -57,11 +58,13 @@ __all__ = [
     "get_dispatcher",
     "shutdown_dispatchers",
     "execute_plan",
+    "profile_task",
+    "run_task",
     "task_worker",
 ]
 
-#: worker-span names per task kind (kept in the ``parallel.`` namespace
-#: so traces from the DAG path and the legacy pool.map path line up)
+#: worker-span names per task kind (perfbench's sweep layer table reads
+#: these ``parallel.`` names)
 _SPAN_NAME = {
     "profile": "parallel.profile_task",
     "run": "parallel.run_task",
@@ -425,6 +428,59 @@ def _worker_init() -> None:
     obs.tracer().clear()
 
 
+def profile_task(args):
+    """Alone-run one benchmark: (name, config) -> (name, apc_alone,
+    ipc_alone)."""
+    bench_name, config = args
+    from repro.sim.engine import simulate
+    from repro.sim.mc.fcfs import FCFSScheduler
+    from repro.workloads.spec import benchmark
+
+    spec = benchmark(bench_name).core_spec()
+    result = simulate([spec], lambda n: FCFSScheduler(n), config)
+    app = result.apps[0]
+    return bench_name, app.apc, app.ipc
+
+
+def run_task(args):
+    """Run one (mix, scheme, copies) simulation from its alone table:
+    (mix, scheme, copies, config, {bench: (apc, ipc)}) ->
+    ((mix, scheme, copies), SchemeRun)."""
+    mix, scheme_name, copies, config, alone_table = args
+    from repro.core.apps import AppProfile, Workload
+    from repro.experiments.runner import Runner, SchemeRun
+    from repro.sim.engine import simulate
+    from repro.workloads.mixes import mix_core_specs
+
+    specs = mix_core_specs(mix, copies)
+    profiles = Workload.of(
+        mix,
+        [
+            AppProfile(
+                s.name,
+                api=s.api,
+                apc_alone=alone_table[s.name.split("#")[0]][0],
+            )
+            for s in specs
+        ],
+    )
+    ipc_alone = np.array(
+        [alone_table[s.name.split("#")[0]][1] for s in specs]
+    )
+    # reuse the serial runner's scheme->scheduler wiring
+    shim = Runner(config)
+    factory = shim.scheduler_factory(scheme_name, profiles)
+    sim = simulate(specs, factory, config)
+    run = SchemeRun(
+        mix=mix,
+        scheme=scheme_name,
+        sim=sim,
+        ipc_alone=ipc_alone,
+        apc_alone=profiles.apc_alone,
+    )
+    return (mix, scheme_name, copies), run
+
+
 def heuristic_task(args):
     """Run one heuristic-scheduler simulation (PAR-BS / TCM)."""
     mix, sched_name, copies, config = args
@@ -457,12 +513,8 @@ def task_worker(args):
         _SPAN_NAME[kind], attrs=_task_attrs(kind, payload), parent_id=parent_id
     ):
         if kind == "profile":
-            from repro.experiments.parallel import profile_task
-
             result = ("raw", profile_task(payload))
         elif kind == "run":
-            from repro.experiments.parallel import run_task
-
             _key, run = run_task(payload)
             result = pack_scheme_run(run)
         elif kind == "heuristic":

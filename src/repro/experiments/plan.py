@@ -87,8 +87,8 @@ class ProfilePoint:
     kind = "profile"
 
     def digest(self) -> str:
-        # identical to Runner._alone_key / ParallelRunner's profile key,
-        # so the persistent SimCache serves planner tasks and vice versa
+        # identical to Runner._alone_key, so the persistent SimCache
+        # serves planner tasks and vice versa
         from repro.workloads.spec import benchmark
 
         return config_digest(
@@ -594,7 +594,8 @@ def compile_plan(
 def grid_plan(
     mixes, schemes, config: SimConfig, *, copies: int = 1
 ) -> SweepPlan:
-    """A single-grid plan (ParallelRunner's workload, DAG-shaped)."""
+    """A single-grid plan: every (mix, scheme) run of one grid plus the
+    alone profiles it depends on."""
     mixes = tuple(mixes)
     schemes = tuple(schemes)
     profile_digests: dict[tuple[str, SimConfig], str] = {}

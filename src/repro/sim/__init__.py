@@ -1,6 +1,5 @@
 """Cycle-level CMP + DRAM simulation substrate (replaces GEM5+DRAMSim2)."""
 
-from repro.sim.controller import AdaptiveController
 from repro.sim.cpu import CorePhase, CoreSim, CoreSpec
 from repro.sim.dram import (
     DRAMConfig,
@@ -26,7 +25,6 @@ from repro.sim.stats import AppCounters, AppWindowResult, SimResult
 from repro.sim.stream import MissAddressStream, StreamSpec
 
 __all__ = [
-    "AdaptiveController",
     "CorePhase",
     "CoreSim",
     "CoreSpec",

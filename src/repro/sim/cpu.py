@@ -38,8 +38,8 @@ class CorePhase:
 
     Phases model the paper's "when an application's behavior changes,
     its APC_alone will be updated correspondingly" (Sec. IV-C): the
-    online profiler + :class:`repro.sim.controller.AdaptiveController`
-    must track these transitions.
+    online profiler + :class:`repro.control.EpochController` must
+    track these transitions.
     """
 
     start_cycle: float

@@ -1,7 +1,7 @@
 """Process-pool worker entry points for surrogate sweep tasks.
 
 Module-level functions (so they pickle under forkserver) mirroring
-:mod:`repro.experiments.parallel`'s ``profile_task`` / ``run_task``:
+:mod:`repro.experiments.dispatch`'s ``profile_task`` / ``run_task``:
 
 * ``surrogate_profile_task`` alone-runs one synthetic app and returns
   the same ``(name, apc_alone, ipc_alone)`` tuple shape as benchmark

@@ -16,9 +16,9 @@ digest of the *full* configuration:
   the digest scheme changes.
 * :class:`SimCache` stores one small JSON file per key and writes
   atomically (temp file + ``os.replace``) so concurrent writers -- e.g.
-  the process pool in :mod:`repro.experiments.parallel` racing on the
-  same benchmark -- can never leave a torn file; last writer wins with
-  an identical payload.
+  two sweeps on the dispatcher in :mod:`repro.experiments.dispatch`
+  racing on the same benchmark -- can never leave a torn file; last
+  writer wins with an identical payload.
 
 Environment:
 

@@ -1,8 +1,8 @@
 """Tests for the cost-aware DAG dispatcher (experiments.dispatch).
 
 The load-bearing property: a plan-executed grid is *bit-identical*
-(``==``, not allclose) to the serial Runner's -- the dispatcher reuses
-the same worker entry points, so equality is exact, and these tests
+(``==``, not allclose) to the serial Runner's -- the worker entry points
+reuse the serial Runner's wiring, so equality is exact, and these tests
 assert it exactly.
 """
 
@@ -18,7 +18,9 @@ from repro.experiments.dispatch import (
     execute_plan,
     pack_scheme_run,
     pack_sim_result,
+    profile_task,
     resolve_workers,
+    run_task,
     unpack_scheme_run,
     unpack_sim_result,
 )
@@ -64,6 +66,34 @@ class TestResolveWorkers:
         monkeypatch.setenv("REPRO_WORKERS", "-2")
         with pytest.raises(ConfigurationError):
             resolve_workers(None)
+
+
+class TestValidation:
+    def test_bad_workers_rejected(self):
+        with pytest.raises(ConfigurationError):
+            Dispatcher(max_workers=0)
+
+
+class TestWorkerFunctions:
+    def test_profile_task_matches_runner(self):
+        name, apc, ipc = profile_task(("gobmk", TINY))
+        assert name == "gobmk"
+        from repro.workloads.spec import benchmark
+
+        serial = Runner(TINY)
+        apc_s, ipc_s = serial.alone_point(benchmark("gobmk").core_spec())
+        assert apc == pytest.approx(apc_s)
+        assert ipc == pytest.approx(ipc_s)
+
+    def test_run_task_returns_keyed_run(self):
+        alone = {
+            b: profile_task((b, TINY))[1:]
+            for b in ("libquantum", "milc", "gromacs", "gobmk")
+        }
+        key, run = run_task(("hetero-5", "equal", 1, TINY, alone))
+        assert key == ("hetero-5", "equal", 1)
+        assert run.sim.total_apc > 0
+        assert set(run.metrics) == {"hsp", "minf", "wsp", "ipcsum"}
 
 
 class TestCostModel:
@@ -241,6 +271,48 @@ class TestExecution:
         _, stats = dispatcher.execute(plan)
         n_runs = sum(1 for t in plan.tasks.values() if t.kind == "run")
         assert stats.n_steals == n_runs
+
+
+class TestTelemetry:
+    """Worker spans ship back and merge into one coherent trace."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_obs(self):
+        from repro import obs
+
+        obs.reset()
+        obs.configure(enabled=True, sample=1.0)
+        yield
+        obs.reset()
+
+    def test_execute_merges_worker_spans_with_parents(self, dispatcher):
+        from repro import obs
+
+        plan = grid_plan(("homo-1",), ("nopart", "equal"), TINY)
+        with obs.span("plan.dispatch") as phase:
+            dispatcher.execute(plan, parent_span_id=phase.span_id)
+        by_name = {}
+        for s in obs.tracer().spans():
+            by_name.setdefault(s.name, []).append(s)
+
+        caller = by_name["plan.dispatch"][0]
+        run_tasks = by_name["parallel.run_task"]
+        assert len(run_tasks) == 2
+        assert all(t.parent_id == caller.span_id for t in run_tasks)
+        # the simulations really ran in other processes
+        assert all(t.pid != caller.pid for t in run_tasks)
+        # each worker task wraps its own engine.run
+        engine_parents = {s.parent_id for s in by_name["engine.run"]
+                          if s.pid != caller.pid}
+        assert engine_parents <= {t.span_id for t in run_tasks} | {
+            p.span_id for p in by_name.get("parallel.profile_task", [])
+        }
+
+        reg = obs.registry()
+        assert reg.get_value("parallel.workers") == 2.0
+        assert reg.get_value("parallel.tasks") >= 2.0
+        util = reg.get_value("parallel.worker_utilization")
+        assert 0.0 < util <= 1.0
 
 
 class TestExecutePlan:

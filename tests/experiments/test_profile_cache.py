@@ -9,7 +9,8 @@ served from disk.  Verified by counting actual ``simulate`` calls.
 from __future__ import annotations
 
 import repro.experiments.runner as runner_mod
-from repro.experiments.parallel import ParallelRunner
+from repro.experiments.dispatch import execute_plan
+from repro.experiments.plan import grid_plan
 from repro.experiments.runner import Runner
 from repro.sim.engine import SimConfig
 from repro.sim.engine import simulate as _real_simulate
@@ -80,47 +81,18 @@ def test_different_sim_config_is_a_cache_miss(monkeypatch):
     assert counting.alone_calls == 2 * warm
 
 
-class _ForbiddenPool:
-    """Stands in for the process pool; any dispatch is a failure."""
-
-    def map(self, fn, tasks, chunksize=1):  # pragma: no cover - guard
-        raise AssertionError("profiling fanned out despite a warm cache")
-
-
-class _InlinePool:
-    """Runs pool.map serially in-process (no worker spawn cost)."""
-
-    def __init__(self):
-        self.dispatched = 0
-
-    def map(self, fn, tasks, chunksize=1):
-        tasks = list(tasks)
-        self.dispatched += len(tasks)
-        return [fn(t) for t in tasks]
-
-
 def test_parallel_profiling_uses_the_shared_cache():
-    pr = ParallelRunner(_QUICK, max_workers=2)
-    pool = _InlinePool()
-    table = pr._profile_all(("hetero-5",), 1, pool)
-    assert pool.dispatched == len(table) > 0
+    results = execute_plan(
+        grid_plan(("hetero-5",), ("nopart",), _QUICK), max_workers=2
+    )
+    results.close()
+    assert results.stats.n_tasks > 0
 
-    # warm cache: a second profiling pass must not dispatch anything
-    again = pr._profile_all(("hetero-5",), 1, _ForbiddenPool())
-    assert again == table
-
-    # and the serial Runner reads the same entries (shared key scheme)
+    # the serial Runner reads the entries the dispatcher wrote (shared
+    # key scheme)
     r = Runner(_QUICK)
     for spec in mix_core_specs("hetero-5"):
         assert r.disk_cache.get(r._alone_key(spec)) is not None
-
-
-def test_chunksize_scales_with_grid_and_workers():
-    pr = ParallelRunner(_QUICK, max_workers=2)
-    assert pr._chunksize(0) == 1
-    assert pr._chunksize(7) == 1
-    assert pr._chunksize(16) == 2
-    assert pr._chunksize(98) == 12
 
 
 def test_runner_exposes_cache_instance():

@@ -183,23 +183,38 @@ def test_sync_client_reuses_one_connection():
 
 def test_async_retry_rides_out_a_shed_window():
     async def scenario(service):
+        released = asyncio.Event()
+        backoffs = []
+
+        def rand():
+            # a backoff is starting: free the slot it waits on
+            backoffs.append(1.0)
+            released.set()
+            return 1.0
+
         async def stall(method, path, body, **kwargs):
-            await asyncio.sleep(0.3)
+            await released.wait()
             return 200, {"stalled": True}
+
+        async def slot_taken():
+            while service._inflight != 1:
+                await asyncio.sleep(0.001)
 
         original = service.handle
         service.handle = stall
         async with AsyncServiceClient(port=service.port) as blocker_client:
             blocker = asyncio.create_task(blocker_client.healthz())
-            await asyncio.sleep(0.05)  # occupy the single admission slot
+            # occupy the single admission slot
+            await asyncio.wait_for(slot_taken(), timeout=5.0)
             service.handle = original
             async with AsyncServiceClient(port=service.port) as client:
                 # first attempt sheds (429), the retry lands after drain
                 body = await client.request_with_retry(
-                    "GET", "/healthz", max_attempts=8
+                    "GET", "/healthz", max_attempts=8, rand=rand
                 )
             await blocker
-        return body
+        return body, backoffs
 
-    body = run_with_service(scenario, max_inflight=1)
+    body, backoffs = run_with_service(scenario, max_inflight=1)
     assert body["status"] == "ok"
+    assert backoffs  # the first attempt really was shed

@@ -1,5 +1,6 @@
-"""Tests for online adaptive re-partitioning (repro.sim.controller)
-and phase-changing workloads (repro.sim.cpu.CorePhase).
+"""Tests for fixed-epoch online re-partitioning (repro.control's
+EpochController with a plain EMA and change detection off) and
+phase-changing workloads (repro.sim.cpu.CorePhase).
 
 Together they exercise the last paragraph of paper Sec. IV-C: periodic
 APC_alone profiling feeding share updates that track application
@@ -7,17 +8,21 @@ behaviour changes.
 """
 
 import dataclasses
+import json
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
 
-from repro.core.partitioning import (
-    PriorityAPC,
-    ProportionalPartitioning,
-    SquareRootPartitioning,
+from repro.control import (
+    EMASmoother,
+    EpochController,
+    ProfileTracker,
+    RelativeShiftDetector,
 )
+from repro.core.partitioning import ProportionalPartitioning, SquareRootPartitioning
 from repro.sim import (
-    AdaptiveController,
     CorePhase,
     CoreSpec,
     SimConfig,
@@ -42,6 +47,31 @@ CFG = SimConfig(
     seed=5,
     epoch_cycles=50_000.0,
 )
+
+#: per-epoch shares (float.hex) these scenarios produced before the
+#: fixed-epoch controller moved onto EpochController
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden_controller_shares.json").read_text()
+)["shares"]
+
+
+def fixed_epoch_controller(scheme, api, *, alpha=1.0, names=None, cfg=CFG):
+    return EpochController(
+        scheme,
+        api,
+        bandwidth=cfg.dram.peak_apc,
+        epoch_cycles=cfg.epoch_cycles,
+        names=names,
+        tracker=ProfileTracker(
+            len(api),
+            smoother=EMASmoother(alpha=alpha),
+            detector=RelativeShiftDetector(float("inf")),
+        ),
+    )
+
+
+def share_hexes(ctrl):
+    return [[float(b).hex() for b in d.beta] for d in ctrl.decisions]
 
 
 class TestCorePhase:
@@ -80,46 +110,14 @@ class TestCorePhase:
         assert phased_run.apc > 2.0 * calm_run.apc
 
 
-class TestAdaptiveControllerUnit:
-    def test_requires_share_based_scheme(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveController(PriorityAPC(), [0.01, 0.02])
-
-    def test_rejects_bad_smoothing(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveController(
-                SquareRootPartitioning(), [0.01], smoothing=0.0
-            )
-
-    def test_rejects_nonpositive_api(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveController(SquareRootPartitioning(), [0.01, 0.0])
-
-    def test_names_length_checked(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveController(
-                SquareRootPartitioning(), [0.01, 0.02], names=["only-one"]
-            )
-
-    def test_no_update_before_estimates(self):
-        from repro.sim.profiler import OnlineProfiler
-
-        ctrl = AdaptiveController(SquareRootPartitioning(), [0.01, 0.02])
-        profiler = OnlineProfiler(2, peak_apc=0.01)  # estimates still NaN
-        sched = StartTimeFairScheduler(2, np.array([0.5, 0.5]))
-        ctrl(1000.0, profiler, sched)
-        assert ctrl.latest_beta is None
-        np.testing.assert_allclose(sched.beta, [0.5, 0.5])
-
-
-class TestAdaptiveControllerIntegration:
+class TestFixedEpochControllerIntegration:
     def test_converges_to_static_partition(self):
         """On a stationary workload, online re-partitioning must converge
         to the shares a static alone-run profile gives (Sec. IV-C: the
         estimate inaccuracy 'will not affect the efficiency')."""
         specs = [heavy(), light()]
         scheme = SquareRootPartitioning()
-        ctrl = AdaptiveController(
+        ctrl = fixed_epoch_controller(
             scheme, [s.api for s in specs], names=[s.name for s in specs]
         )
         result = simulate(
@@ -129,6 +127,7 @@ class TestAdaptiveControllerIntegration:
             repartition_hook=ctrl,
         )
         assert ctrl.latest_beta is not None
+        assert share_hexes(ctrl) == GOLDEN["converges_to_static_partition"]
 
         # static reference shares from true alone profiles
         from repro.core.apps import AppProfile, Workload
@@ -153,32 +152,32 @@ class TestAdaptiveControllerIntegration:
             phases=(CorePhase(250_000.0, 0.05, 0.5),),
         )
         specs = [heavy(), morphing]
-        ctrl = AdaptiveController(
+        cfg = dataclasses.replace(CFG, warmup_cycles=0, measure_cycles=500_000)
+        ctrl = fixed_epoch_controller(
             ProportionalPartitioning(),
             # API changes at the phase boundary; use the late-phase value
             # (the paper measures API online; we declare it)
             [0.05, 0.05],
-            smoothing=1.0,
+            cfg=cfg,
         )
-        cfg = dataclasses.replace(CFG, warmup_cycles=0, measure_cycles=500_000)
         simulate(
             specs,
             lambda n: StartTimeFairScheduler(n, np.full(n, 0.5)),
             cfg,
             repartition_hook=ctrl,
         )
-        assert len(ctrl.history) >= 2
-        early_beta = ctrl.history[1][1]
-        late_beta = ctrl.history[-1][1]
+        assert share_hexes(ctrl) == GOLDEN["adaptation_tracks_phase_change"]
+        assert len(ctrl.decisions) >= 2
+        early_beta = ctrl.decisions[1].beta
+        late_beta = ctrl.latest_beta
         # the morphing app's share must grow substantially after its phase
         assert late_beta[1] > early_beta[1] + 0.15
 
     def test_smoothing_damps_updates(self):
         specs = [heavy(), light()]
-        raw = AdaptiveController(SquareRootPartitioning(), [s.api for s in specs])
-        smooth = AdaptiveController(
-            SquareRootPartitioning(), [s.api for s in specs], smoothing=0.2
-        )
+        api = [s.api for s in specs]
+        raw = fixed_epoch_controller(SquareRootPartitioning(), api)
+        smooth = fixed_epoch_controller(SquareRootPartitioning(), api, alpha=0.2)
         for ctrl in (raw, smooth):
             simulate(
                 specs,
@@ -186,7 +185,18 @@ class TestAdaptiveControllerIntegration:
                 CFG,
                 repartition_hook=ctrl,
             )
+        # the unsmoothed run is the converges_to_static_partition scenario
+        assert share_hexes(raw) == GOLDEN["converges_to_static_partition"]
+        assert share_hexes(smooth) == GOLDEN["smoothing_damps_updates"]
         # both settle near the same shares eventually
         np.testing.assert_allclose(
             raw.latest_beta, smooth.latest_beta, atol=0.1
         )
+
+    def test_example_share_trajectory(self, capsys):
+        example = (
+            pathlib.Path(__file__).parents[2] / "examples" / "online_adaptation.py"
+        )
+        scope = runpy.run_path(str(example), run_name="__main__")
+        capsys.readouterr()
+        assert share_hexes(scope["controller"]) == GOLDEN["online_adaptation_example"]

@@ -1,9 +1,10 @@
-"""Smoke tests: the model-only examples run end-to-end as scripts.
+"""Smoke tests: the fast examples run end-to-end as scripts.
 
 Simulation-heavy examples (qos_partitioning, simulator_validation,
-online_adaptation, trace_replay_workflow, shared_l2_partitioning) are
-exercised by the integration suite through the same APIs; here we
-execute the fast, model-only scripts exactly as a user would.
+trace_replay_workflow, shared_l2_partitioning) are exercised by the
+integration suite through the same APIs; here we execute the fast
+scripts (model-only, plus the sub-second online_adaptation simulation)
+exactly as a user would.
 """
 
 import pathlib
@@ -19,6 +20,7 @@ FAST_EXAMPLES = [
     "fairness_throughput_frontier.py",
     "service_quickstart.py",
     "trace_quickstart.py",
+    "online_adaptation.py",
 ]
 
 
