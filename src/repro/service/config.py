@@ -92,11 +92,12 @@ class ServiceConfig:
     #: cap on concurrently-running shadow solves -- a due sample that
     #: finds the cap full is skipped and counted, never queued
     shadow_max_inflight: int = 2
-    #: bounded per-scheme window of (sim, surrogate) shadow pairs
-    drift_window: int = 512
-    #: per-app samples required in a scheme's window before the online
-    #: MAPE may flip the degraded flag
-    drift_min_samples: int = 24
+    #: bounded per-scheme window of shadow samples: one per shadowed
+    #: request, holding its per-app (sim, surrogate) pairs
+    drift_window: int = 128
+    #: shadow samples (requests, not per-app values) required in a
+    #: scheme's window before the online MAPE may flip the degraded flag
+    drift_min_samples: int = 8
     #: online MAPE gate; defaults to the artifact's fit-time gate
     #: (QualityThresholds.max_mape = 5%)
     drift_max_mape: float = 0.05

@@ -26,7 +26,7 @@ from repro.sim.request import Request
 from repro.util.errors import SimulationError
 from repro.util.rng import RngStream
 from repro.util.validation import check_positive, check_probability
-from repro.sim.stream import MissAddressStream, StreamSpec
+from repro.sim.stream import _UNIT, MissAddressStream, StreamSpec
 
 __all__ = ["CorePhase", "CoreSpec", "CoreSim"]
 
@@ -109,6 +109,7 @@ class CoreSim:
         "_next_access",
         "rng",
         "_g",
+        "_raw",
         "_wf",
         "_mlp",
         "_wq_cap",
@@ -143,6 +144,7 @@ class CoreSim:
         # hot-path bindings: the RngStream wrapper and dataclass lookups
         # cost more than the draws themselves at ~1 access / 20 cycles
         self._g = rng.generator
+        self._raw = rng.generator.bit_generator.random_raw
         self._wf = spec.write_fraction
         self._mlp = spec.mlp
         self._wq_cap = spec.write_queue_cap
@@ -191,6 +193,8 @@ class CoreSim:
         reorder bit consumption and change every downstream timestamp);
         the per-draw overhead is trimmed instead by binding the raw
         generator and precomputing ``1/api`` for the phase-less case.
+        The coin is one raw word as ``(w >> 11) * 2**-53``: exactly what
+        ``Generator.random()`` computes, without the Generator call.
         """
         if self._phased:
             api, ipc_peak = self.spec.params_at(now)
@@ -217,7 +221,7 @@ class CoreSim:
         self._gap_instr = 0.0
         self._gap_cycles = 0.0
 
-        is_write = self._g.random() < self._wf
+        is_write = (self._raw() >> 11) * _UNIT < self._wf
         # the stream hands back decoded coordinates alongside the
         # address, so the controller never pays a decode round-trip
         addr, channel, bank, row = self._next_access()

@@ -7,7 +7,8 @@ its COMPLETE) and a multi-million-cycle window costs only tens of
 thousands of heap operations -- the guide-recommended "algorithmic
 optimization before micro-optimization".
 
-Event kinds (priority-ordered at equal timestamps):
+Event kinds (priority-ordered at equal timestamps; ``Engine._run``
+handles the first three inline, in one flat loop):
 
 1. ``COMPLETE`` -- a DRAM data transfer finished (may resume a core);
 2. ``MISS``     -- a core's next off-chip access fires;
@@ -25,9 +26,8 @@ paper, detected at bus-grant granularity.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import obs
 from repro.sim.cpu import CoreSim, CoreSpec
@@ -121,26 +121,12 @@ class Engine:
         self.counters = [AppCounters() for _ in self.specs]
         self.profiler = OnlineProfiler(len(self.specs), config.dram.peak_apc)
 
-        self._heap: list[tuple[float, int, int, object]] = []
-        self._seq = itertools.count()
-        self._pump_scheduled = [False] * config.dram.n_channels
-        # pump-loop constants (invariant across the whole run)
-        dram_cfg = config.dram
-        self._lookahead = dram_cfg.trcd_cycles + dram_cfg.cl_cycles
-        if dram_cfg.page_policy == "open":
-            self._lookahead += dram_cfg.trp_cycles
-        self._open_page = dram_cfg.page_policy == "open"
-        self._act_to_data = dram_cfg.trcd_cycles + dram_cfg.cl_cycles
-        self._multi_channel = dram_cfg.n_channels > 1
-        self._stall_gated = config.interference_mode == "stalled"
-        self._mc_cycles = dram_cfg.mc_cycles
-        # Hot-path mirrors of per-app state, kept as plain lists: the
-        # interference loop below touches every app on every data burst,
-        # and list indexing beats attribute chains there.  ``_running``
-        # shadows ``CoreSim.running``; ``_interf`` is the sole
-        # interference accumulator, folded into ``AppCounters`` at the
-        # points that read them (epoch, warmup snapshot, finalize).
-        self._running = [False] * len(self.specs)
+        #: (time, priority, seq, payload); the payload's type follows the kind
+        self._heap: list[tuple[float, int, int, Any]] = []
+        #: the last event sequence number handed out (heap tie-breaker)
+        self._seq = 0
+        #: the sole interference accumulator, folded into AppCounters at
+        #: the points that read them (epoch, warmup snapshot, finalize)
         self._interf = [0.0] * len(self.specs)
         self.now = 0.0
         # snapshots taken at the warmup boundary
@@ -155,152 +141,8 @@ class Engine:
     # event plumbing
     # ------------------------------------------------------------------
     def _push(self, time: float, prio: int, payload: object) -> None:
-        heapq.heappush(self._heap, (time, prio, next(self._seq), payload))
-
-    # ------------------------------------------------------------------
-    # event handlers
-    # ------------------------------------------------------------------
-    def _handle_miss(self, core_id: int, now: float) -> None:
-        req, next_access = self.cores[core_id].generate_access(now)
-        # requests arrive pre-decoded: the address stream stamps
-        # channel/bank/row at creation (it owns the same AddressMapper
-        # layout), so no decode round-trip here.  Instruction counters
-        # are refreshed lazily at the points that read them (epoch,
-        # warmup snapshot, finalize), not per miss.
-        self.scheduler.enqueue(req, now)
-        # wake the channel's pump; it reschedules itself to the right
-        # slot if the bus is busy
-        channel = req.channel
-        if not self._pump_scheduled[channel]:
-            self._pump_scheduled[channel] = True
-            heapq.heappush(self._heap, (now, _P_PUMP, next(self._seq), channel))
-        if next_access is not None:
-            heapq.heappush(
-                self._heap, (next_access, _P_MISS, next(self._seq), core_id)
-            )
-        else:
-            self._running[core_id] = False
-
-    def _handle_pump(self, now: float, channel_index: int) -> None:
-        """Issue requests on one channel while its bus schedule has room.
-
-        Command pipelining: the controller commits the next request up to
-        ``tRCD + CL`` cycles before the bus frees, so its activate
-        overlaps the in-flight data transfer and bursts land back-to-back
-        (otherwise every access would pay the activate latency on the bus
-        critical path and the peak 1-line-per-burst rate would be
-        unreachable).
-
-        With multiple channels each channel is pumped independently;
-        scheduler *policy* state (tags, priorities, age order) stays
-        global, only the candidate set is channel-filtered.
-        """
-        self._pump_scheduled[channel_index] = False
-        scheduler = self.scheduler
-        select = scheduler.select
-        queues = scheduler.queues
-        running = self._running
-        interf = self._interf
-        heap = self._heap
-        seq = self._seq
-        mc_cycles = self._mc_cycles
-        stall_gated = self._stall_gated
-        chan_filter = channel_index if self._multi_channel else None
-        channel = self.dram.channels[channel_index]
-        # open-page conflicts pay precharge+activate before CAS, so the
-        # controller must commit further ahead to keep the bus gapless
-        lookahead = self._lookahead
-        horizon = now + lookahead + 1e-9
-        # The readiness probe -- would the bank deliver the moment the
-        # bus frees? -- is built once per call and reads each
-        # iteration's ``deadline``/``limit`` from this frame.  Bank state
-        # is frozen until the issue below, so a select may probe
-        # ~queue-depth requests but only ~bank-count answers exist:
-        # close-page timing is row-independent and cheap enough to
-        # recompute inline; the open-page answer is memoized per
-        # (bank, row) within an iteration.
-        deadline = limit = now
-        memo: dict = {}
-        if self._open_page:
-            chan_bank_ready = channel.bank_ready_by
-
-            def bank_ready(r: Request) -> bool:
-                key = (r.bank, r.row)
-                hit = memo.get(key)
-                if hit is None:
-                    hit = memo[key] = chan_bank_ready(
-                        r.bank, r.row, now, deadline
-                    )
-                return hit
-
-        else:
-            banks = channel.banks
-            act_to_data = self._act_to_data
-
-            def bank_ready(r: Request) -> bool:
-                # Channel.bank_ready_by's close-page case, inlined
-                ready = banks[r.bank].ready_time
-                return (now if now > ready else ready) + act_to_data <= limit
-
-        while True:
-            if chan_filter is None:
-                if not scheduler.total_queued:
-                    return
-            elif not scheduler.has_pending(chan_filter):
-                return
-            bus_free = channel.bus_free
-            if bus_free > horizon:
-                self._pump_scheduled[channel_index] = True
-                heapq.heappush(
-                    heap, (bus_free - lookahead, _P_PUMP, next(seq), channel_index)
-                )
-                return
-            deadline = now if now > bus_free else bus_free
-            limit = deadline + 1e-9
-            if memo:
-                memo.clear()
-            req = select(now, bank_ready, chan_filter)
-            if req is None:  # pragma: no cover - defensive
-                return
-            channel.issue(req, now)
-            data_end = channel.bus_free
-            req.issued = now
-            completed = req.completed = data_end + mc_cycles
-            # others' queued requests were blocked for the bus time this
-            # request consumed (its burst plus any bank-wait bubble);
-            # the issue above only touches DRAM state, so reading the
-            # queues after it sees the same pending set select saw
-            span = data_end - deadline
-            rid = req.app_id
-            if chan_filter is None:
-                if stall_gated:
-                    for a, q in enumerate(queues):
-                        if q and a != rid and not running[a]:
-                            interf[a] += span
-                else:
-                    for a, q in enumerate(queues):
-                        if q and a != rid:
-                            interf[a] += span
-            else:
-                for a in scheduler.pending_apps(chan_filter):
-                    if a != rid and (not stall_gated or not running[a]):
-                        interf[a] += span
-            heapq.heappush(heap, (completed, _P_COMPLETE, next(seq), req))
-
-    def _handle_complete(self, req: Request, now: float) -> None:
-        app_id = req.app_id
-        c = self.counters[app_id]
-        c.latency_sum += now - req.created
-        c.latency_count += 1
-        if req.is_write:
-            c.writes_served += 1
-            resumed = self.cores[app_id].drain_write(now)
-        else:
-            c.reads_served += 1
-            resumed = self.cores[app_id].complete_read(now)
-        if resumed is not None:
-            self._running[app_id] = True
-            heapq.heappush(self._heap, (resumed, _P_MISS, next(self._seq), app_id))
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (time, prio, seq, payload))
 
     def _handle_epoch(self, now: float) -> None:
         self._n_epochs += 1
@@ -341,11 +183,28 @@ class Engine:
             return self._run()
 
     def _run(self) -> SimResult:
+        """The event loop, with COMPLETE, MISS and PUMP handled inline.
+
+        What those three touch (heap, scheduler, channel, each core's
+        bound methods, the interference accumulator) is bound to locals
+        once per run; sequence numbers come from one local int that
+        ``_push`` and ``_handle_epoch`` share through ``self._seq``.
+
+        PUMP issues on one channel while its bus schedule has room,
+        committing the next request up to ``tRCD + CL`` cycles (plus
+        ``tRP`` on open pages) before the bus frees: its activate
+        overlaps the in-flight transfer and bursts land back-to-back,
+        which is what makes the peak 1-line-per-burst rate reachable.
+        Each channel is pumped independently; policy state (tags,
+        priorities, age order) stays global, only the candidates are
+        channel-filtered.  ``stalled`` mirrors the memory-stalled cores
+        (MISS adds, COMPLETE removes), so the one-channel stall-gated
+        interference loop walks only apps that can accrue interference.
+        """
         cfg = self.config
+        dram_cfg = cfg.dram
         for i, core in enumerate(self.cores):
-            first = core.start(0.0)
-            self._running[i] = True
-            self._push(first, _P_MISS, i)
+            self._push(core.start(0.0), _P_MISS, i)
         self.profiler.begin_epoch(0.0, self.counters)
         if cfg.epoch_cycles is not None:
             self._push(cfg.epoch_cycles, _P_EPOCH, "epoch")
@@ -361,41 +220,165 @@ class Engine:
             "engine.measure" if warmup_done else "engine.warmup"
         ).begin()
 
-        n_events = 0
         heap = self._heap
         heappop = heapq.heappop
-        handle_complete = self._handle_complete
-        handle_miss = self._handle_miss
-        handle_pump = self._handle_pump
+        heappush = heapq.heappush
+        seq = self._seq
+        scheduler = self.scheduler
+        select = scheduler.select
+        enqueue = scheduler.enqueue
+        queues = scheduler.queues
+        generate = [core.generate_access for core in self.cores]
+        complete_read = [core.complete_read for core in self.cores]
+        drain_write = [core.drain_write for core in self.cores]
+        counters = self.counters
+        interf = self._interf
+        stalled: set[int] = set()
+        channels = self.dram.channels
+        pump_scheduled = [False] * len(channels)
+        multi_channel = len(channels) > 1
+        stall_gated = cfg.interference_mode == "stalled"
+        mc_cycles = dram_cfg.mc_cycles
+        open_page = dram_cfg.page_policy == "open"
+        act_to_data = dram_cfg.trcd_cycles + dram_cfg.cl_cycles
+        # open-page conflicts pay precharge+activate before CAS, so the
+        # controller must commit further ahead to keep the bus gapless
+        lookahead = act_to_data + (dram_cfg.trp_cycles if open_page else 0.0)
+
+        # The current pump's channel and the readiness probe (would the
+        # bank deliver the moment the bus frees?), built once per run,
+        # reading the pump's inputs from this frame.  Bank state is
+        # frozen until the issue after a select: the close-page probe
+        # inlines Channel.bank_ready_by's arithmetic, the open-page one
+        # memoizes it per (bank, row) within a pump iteration.
+        channel = channels[0]
+        chan_filter: int | None = None
+        banks = channel.banks
+        chan_ready_by = channel.bank_ready_by
+        pump_now = deadline = limit = 0.0
+        memo: dict = {}
+        if open_page:
+            def bank_ready(r: Request) -> bool:
+                key = (r.bank, r.row)
+                hit = memo.get(key)
+                if hit is None:
+                    hit = memo[key] = chan_ready_by(r.bank, r.row, pump_now, deadline)
+                return hit
+        else:
+            def bank_ready(r: Request) -> bool:
+                ready = banks[r.bank].ready_time
+                return (pump_now if pump_now > ready else ready) + act_to_data <= limit
+
+        n_events = 0
         end_guard = end + 1e-9
         clock = self.now
         while heap:
             # the first event past the window end stops the run
-            time, prio, _seq, payload = heappop(heap)
-            if time > end_guard:
+            now, prio, _seq, payload = heappop(heap)
+            if now > end_guard:
                 break
             n_events += 1
-            if time < clock - 1e-6:
-                raise SimulationError(f"time went backwards: {time} < {clock}")
-            if not warmup_done and time >= warmup:
+            if now < clock - 1e-6:
+                raise SimulationError(f"time went backwards: {now} < {clock}")
+            if not warmup_done and now >= warmup:
                 self._take_warmup_snapshot(warmup)
                 warmup_done = True
                 phase.end()
                 phase = obs.span("engine.measure").begin()
-            if time > clock:
-                clock = time
+            if now > clock:
+                clock = now
             if prio == _P_COMPLETE:
-                handle_complete(payload, time)  # type: ignore[arg-type]
+                req = payload
+                app_id = req.app_id
+                c = counters[app_id]
+                c.latency_sum += now - req.created
+                c.latency_count += 1
+                if req.is_write:
+                    c.writes_served += 1
+                    resumed = drain_write[app_id](now)
+                else:
+                    c.reads_served += 1
+                    resumed = complete_read[app_id](now)
+                if resumed is not None:
+                    stalled.remove(app_id)
+                    seq += 1
+                    heappush(heap, (resumed, _P_MISS, seq, app_id))
             elif prio == _P_MISS:
-                handle_miss(payload, time)  # type: ignore[arg-type]
+                # requests arrive pre-decoded (channel/bank/row stamped at
+                # creation); instruction counters are refreshed where read
+                req, next_access = generate[payload](now)
+                enqueue(req, now)
+                # wake the channel's pump (it reschedules itself if busy)
+                ch = req.channel
+                if not pump_scheduled[ch]:
+                    pump_scheduled[ch] = True
+                    seq += 1
+                    heappush(heap, (now, _P_PUMP, seq, ch))
+                if next_access is None:
+                    stalled.add(payload)
+                else:
+                    seq += 1
+                    heappush(heap, (next_access, _P_MISS, seq, payload))
             elif prio == _P_PUMP:
-                handle_pump(time, payload)  # type: ignore[arg-type]
+                pump_scheduled[payload] = False
+                if multi_channel:
+                    chan_filter = payload
+                    channel = channels[payload]
+                    banks = channel.banks
+                    chan_ready_by = channel.bank_ready_by
+                pump_now = now
+                horizon = now + lookahead + 1e-9
+                while True:
+                    if chan_filter is None:
+                        if not scheduler.total_queued:
+                            break
+                    elif not scheduler.has_pending(chan_filter):
+                        break
+                    bus_free = channel.bus_free
+                    if bus_free > horizon:
+                        pump_scheduled[payload] = True
+                        seq += 1
+                        heappush(heap, (bus_free - lookahead, _P_PUMP, seq, payload))
+                        break
+                    deadline = now if now > bus_free else bus_free
+                    limit = deadline + 1e-9
+                    if memo:
+                        memo.clear()
+                    req = select(now, bank_ready, chan_filter)
+                    if req is None:  # pragma: no cover - defensive
+                        break
+                    channel.issue(req, now)
+                    data_end = channel.bus_free
+                    req.issued = now
+                    completed = req.completed = data_end + mc_cycles
+                    # others' queued requests were blocked for the bus
+                    # time this request consumed (burst plus any bank
+                    # wait); the queues still hold the set select saw
+                    span = data_end - deadline
+                    rid = req.app_id
+                    if chan_filter is not None:
+                        for a in scheduler.pending_apps(chan_filter):
+                            if a != rid and (not stall_gated or a in stalled):
+                                interf[a] += span
+                    elif stall_gated:
+                        for a in stalled:
+                            if a != rid and queues[a]:
+                                interf[a] += span
+                    else:
+                        for a, q in enumerate(queues):
+                            if q and a != rid:
+                                interf[a] += span
+                    seq += 1
+                    heappush(heap, (completed, _P_COMPLETE, seq, req))
             elif prio == _P_EPOCH:
-                self._handle_epoch(time)
+                self._seq = seq
+                self._handle_epoch(now)
+                seq = self._seq
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown event priority {prio}")
 
         phase.end()
+        self._seq = seq
         self.now = clock
         self._n_events = n_events
         if not warmup_done:

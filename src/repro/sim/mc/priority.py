@@ -80,25 +80,24 @@ class PriorityScheduler(Scheduler):
                 return self._take(best)
         if channel is None:
             queues = self.queues
-            pending = [a for a in self.priority_order if queues[a]]
-            for app_id in pending:
-                for req in queues[app_id]:
-                    if ready(req):
-                        return self._take(req)
+            top = None
+            for app_id in self.priority_order:
+                q = queues[app_id]
+                if q:
+                    if top is None:
+                        top = q
+                    for req in q:
+                        if ready(req):
+                            return self._take(req)
             # nothing bank-ready: highest-priority head eats the bank stall
-            for app_id in pending:
-                return self._take(queues[app_id][0])
-            return None
+            return None if top is None else self._take(top[0])
         # the pending-count index skips empty priority levels outright
-        pending = [
-            app_id
-            for app_id in self.priority_order
-            if self.pending_count(app_id, channel)
-        ]
-        for app_id in pending:
-            req = self._oldest_ready(app_id, ready, channel)
-            if req is not None:
-                return self._take(req)
-        for app_id in pending:
-            return self._pop_head(app_id, channel)
-        return None
+        top_app = None
+        for app_id in self.priority_order:
+            if self.pending_count(app_id, channel):
+                if top_app is None:
+                    top_app = app_id
+                req = self._oldest_ready(app_id, ready, channel)
+                if req is not None:
+                    return self._take(req)
+        return None if top_app is None else self._pop_head(top_app, channel)

@@ -25,10 +25,16 @@ nothing is ready.
 
 Tags and strides live in plain Python lists on the select path (numpy
 scalar indexing costs ~10x a list index at this grain); ``tags`` /
-``beta`` remain numpy views for callers.
+``beta`` remain numpy views for callers.  The service order is one
+ascending list of ``(tag, app_id)``: only the served app's tag moves
+(``update_shares`` never touches tags), so a remove and a
+``bisect.insort`` keep it, and a select walks it skipping empty queues
+-- the order a per-select sort of the pending apps would give.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -68,6 +74,8 @@ class StartTimeFairScheduler(Scheduler):
         super().__init__(n_apps)
         self.arrival_coupled = arrival_coupled
         self._tags: list[float] = [0.0] * n_apps
+        #: every app as (tag, app_id), ascending: the service order
+        self._order: list[tuple[float, int]] = [(0.0, a) for a in range(n_apps)]
         self._virtual_now = 0.0
         self._beta = np.ones(n_apps) / n_apps
         # a zero-share app pays an effectively infinite stride, pushing it
@@ -107,49 +115,48 @@ class StartTimeFairScheduler(Scheduler):
         channel: int | None = None,
     ) -> Request | None:
         queues = self.queues
+        first: int | None = None
         if channel is None:
-            pending = [a for a in range(self.n_apps) if queues[a]]
-        else:
-            chan_pending = self._channel_index()[0]
-            pending = [
-                a
-                for a in range(self.n_apps)
-                if chan_pending[a].get(channel, 0)
-            ]
-        if not pending:
-            return None
-        # stable sort on tags == ordering by (tag, app_id): ``pending``
-        # is built in ascending app order
-        pending.sort(key=self._tags.__getitem__)
-        if channel is None:
-            for app_id in pending:
-                for req in queues[app_id]:
-                    if ready(req):
-                        self._advance_tag(app_id)
-                        return self._take(req)
+            for _tag, app_id in self._order:
+                q = queues[app_id]
+                if q:
+                    if first is None:
+                        first = app_id
+                    for req in q:
+                        if ready(req):
+                            self._advance_tag(app_id)
+                            return self._take(req)
+            if first is None:
+                return None
             # nothing is bank-ready: serve the smallest-tag app's head
-            app_id = pending[0]
-            self._advance_tag(app_id)
-            return self._take(queues[app_id][0])
-        for app_id in pending:
-            req = self._oldest_ready(app_id, ready, channel)
-            if req is not None:
-                self._advance_tag(app_id)
-                return self._take(req)
-        app_id = pending[0]
-        self._advance_tag(app_id)
-        return self._pop_head(app_id, channel)
+            self._advance_tag(first)
+            return self._take(queues[first][0])
+        chan_pending = self._channel_index()[0]
+        for _tag, app_id in self._order:
+            if chan_pending[app_id].get(channel, 0):
+                if first is None:
+                    first = app_id
+                req = self._oldest_ready(app_id, ready, channel)
+                if req is not None:
+                    self._advance_tag(app_id)
+                    return self._take(req)
+        if first is None:
+            return None
+        self._advance_tag(first)
+        return self._pop_head(first, channel)
 
     def _advance_tag(self, app_id: int) -> None:
         stride = self._strides[app_id]
         tags = self._tags
+        old = tags[app_id]
         if self.arrival_coupled:
             # original DSTF: credit from idle periods is forfeited
-            tag = max(tags[app_id], self._virtual_now) + stride
-            tags[app_id] = tag
+            tag = max(old, self._virtual_now) + stride
         else:
             # the paper's modification: tags only depend on service received
-            tag = tags[app_id] + stride
-            tags[app_id] = tag
+            tag = old + stride
+        tags[app_id] = tag
+        self._order.remove((old, app_id))
+        bisect.insort(self._order, (tag, app_id))
         if tag - stride > self._virtual_now:
             self._virtual_now = tag - stride

@@ -251,6 +251,7 @@ class MissAddressStream:
                 last = (last[0] + self._col_step, last[1], last[2], last[3])
                 self._last = last
                 return last
+        bank_set = self._bank_set
         if words is None:
             vals = self._g.integers(0, self._bounds).tolist()
         else:
@@ -261,13 +262,18 @@ class MissAddressStream:
                     words = self._refill()
                 w = words.pop()
                 halves += (w & 0xFFFFFFFF, w >> 32)
-            vals = [halves[j] >> s for j, s in self._plan]
+            if bank_set is None:  # no comprehension: a call on 3.11
+                (j0, s0), (j1, s1), (j2, s2), (j3, s3), (j4, s4) = self._plan
+                vals = [halves[j0] >> s0, halves[j1] >> s1, halves[j2] >> s2,
+                        halves[j3] >> s3, halves[j4] >> s4]
+            else:
+                vals = [halves[j] >> s for j, s in self._plan]
             del halves[:n_u32]
-        if self._bank_set is None:
+        if bank_set is None:
             rank, bank, channel, row_off, col = vals
         else:
             slot, channel, row_off, col = vals
-            rank, bank = divmod(self._bank_set[slot], self._n_banks)
+            rank, bank = divmod(bank_set[slot], self._n_banks)
         row = self.row_base + row_off
         ch_s, rank_s, bank_s, row_s, col_s = self._layout
         addr = (

@@ -121,11 +121,15 @@ class DriftMonitor:
     :func:`repro.surrogate.fit.score_predictions` keeps the online
     number directly comparable to the artifact's fit-time card.
 
+    Unit: ``window``, ``min_samples`` and the reported ``n`` count
+    *shadow samples*, one per shadowed request whatever its app count;
+    the MAPE pools the per-app values of every sample in the window.
+
     The ``degraded`` flag breaches when any scheme's windowed MAPE
-    exceeds ``max_mape`` with at least ``min_samples`` per-app samples
-    in the window, and recovers only once every breached scheme's MAPE
-    falls back to ``max_mape * recover_margin`` -- the hysteresis band
-    keeps a borderline artifact from flapping the serving path.
+    exceeds ``max_mape`` with at least ``min_samples`` samples in the
+    window, and recovers only once every breached scheme's MAPE falls
+    back to ``max_mape * recover_margin`` -- the hysteresis band keeps
+    a borderline artifact from flapping the serving path.
     """
 
     def __init__(
@@ -133,8 +137,8 @@ class DriftMonitor:
         *,
         max_mape: float = 0.05,
         rel_floor: float = DEFAULT_REL_FLOOR,
-        window: int = 512,
-        min_samples: int = 24,
+        window: int = 128,
+        min_samples: int = 8,
         recover_margin: float = 0.8,
         registry: "MetricsRegistry | None" = None,
         clock: Callable[[], float] = time.monotonic,
@@ -155,8 +159,9 @@ class DriftMonitor:
         self._registry = registry
         self._clock = clock
         self._lock = threading.Lock()
-        #: scheme -> deque of (y_true_norm, y_pred_norm) per-app pairs
-        self._pairs: dict[str, deque[tuple[float, float]]] = {}
+        #: scheme -> deque of samples, each the request's per-app
+        #: (y_true_norm, y_pred_norm) pairs
+        self._pairs: dict[str, deque[tuple[tuple[float, float], ...]]] = {}
         #: schemes currently holding the degraded flag
         self._breached: set[str] = set()
         self._samples = 0
@@ -164,12 +169,12 @@ class DriftMonitor:
 
     # ------------------------------------------------------------------
     def _score(self, scheme: str) -> tuple[float, float, int]:
-        """(mape, r2, n) of the scheme's current window (lock held)."""
-        pairs = self._pairs[scheme]
-        y = [p[0] for p in pairs]
-        pred = [p[1] for p in pairs]
+        """(mape, r2, n samples) of the scheme's window (lock held)."""
+        samples = self._pairs[scheme]
+        y = [t for sample in samples for t, _p in sample]
+        pred = [p for sample in samples for _t, p in sample]
         r2, mape = score_predictions(y, pred, rel_floor=self.rel_floor)
-        return mape, r2, len(pairs)
+        return mape, r2, len(samples)
 
     def record(
         self,
@@ -194,8 +199,9 @@ class DriftMonitor:
             window = self._pairs.setdefault(
                 scheme, deque(maxlen=self.window)
             )
-            for t, p in zip(y_true, y_pred):
-                window.append((float(t), float(p)))
+            window.append(
+                tuple((float(t), float(p)) for t, p in zip(y_true, y_pred))
+            )
             self._samples += 1
             self._last_sample_at = self._clock()
             mape, r2, n = self._score(scheme)

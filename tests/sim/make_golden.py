@@ -159,6 +159,52 @@ def golden_cases():
         lambda n: PriorityScheduler(n, [4, 2, 3, 1, 0]),
         short,
     )
+
+    # branches no case above reaches: the original-DSTF tag rule of the
+    # Sec. IV-B enforcement ablation, raw ("pending") interference
+    # counting on one channel and on two, the priority starvation guard,
+    # and the open-page readiness probe on two channels
+    beta5 = np.full(len(specs4), 1.0 / len(specs4))
+    cases["stf_arrival_coupled"] = lambda: simulate(
+        specs4,
+        lambda n: StartTimeFairScheduler(n, beta5, arrival_coupled=True),
+        short,
+    )
+    pending = SimConfig(
+        warmup_cycles=10_000.0,
+        measure_cycles=100_000.0,
+        seed=19,
+        interference_mode="pending",
+    )
+    cases["stf_pending_interference"] = lambda: simulate(
+        specs4, lambda n: StartTimeFairScheduler(n, beta5), pending
+    )
+    pending_two_chan = SimConfig(
+        dram=DRAMConfig(name="DDR2-400-2ch", n_channels=2),
+        warmup_cycles=10_000.0,
+        measure_cycles=100_000.0,
+        seed=23,
+        interference_mode="pending",
+    )
+    cases["fcfs_pending_two_channels"] = lambda: simulate(
+        specs4, lambda n: FCFSScheduler(n), pending_two_chan
+    )
+    cases["priority_starvation_cap"] = lambda: simulate(
+        specs4,
+        lambda n: PriorityScheduler(n, [2, 0, 3, 1], starvation_cap=2_000.0),
+        short,
+    )
+    open_two_chan = SimConfig(
+        dram=DRAMConfig(name="DDR2-400-open-2ch", page_policy="open", n_channels=2),
+        warmup_cycles=10_000.0,
+        measure_cycles=100_000.0,
+        seed=29,
+    )
+    cases["stf_open_page_two_channels"] = lambda: simulate(
+        [local, *specs4[:2]],
+        lambda n: StartTimeFairScheduler(n, np.array([0.5, 0.3, 0.2])),
+        open_two_chan,
+    )
     return cases
 
 

@@ -2,11 +2,15 @@
 
 ``golden_simresults.json`` was generated from the engine *before* the
 performance work (indexed scheduler queues, batched stream draws,
-``__slots__`` records, inlined channel issue); every fast path must
-reproduce each ``SimResult`` float-for-float.  The eleven cases span
-schedulers (FCFS, STF, priority, FR-FCFS, PAR-BS, TCM), page policies,
-channel counts, writes, phases, epochs and bank partitioning, so any
-optimization that perturbs event order or RNG consumption fails here.
+``__slots__`` records, inlined channel issue, the flat event loop);
+every fast path must reproduce each ``SimResult`` float-for-float.
+Each case's record was written by the engine as it stood before the
+change that added the case.  The cases (``make_golden.golden_cases``)
+span schedulers (FCFS, STF under both tag rules, priority with and
+without the starvation cap, FR-FCFS, PAR-BS, TCM), page policies,
+channel counts, both interference-counting modes, writes, phases,
+epochs and bank partitioning, so any optimization that perturbs event
+order or RNG consumption fails here.
 """
 
 from __future__ import annotations

@@ -130,6 +130,24 @@ class TestDriftMonitor:
         assert out["n"] == 4
         assert mon.snapshot()["samples"] == 100
 
+    def test_a_multi_app_sample_counts_once(self):
+        """``window``, ``min_samples`` and ``n`` count shadow samples (one
+        per request), not the per-app values inside them; the MAPE pools
+        every per-app value of the samples in the window."""
+        mon = self.monitor(window=4, min_samples=2)
+        out = mon.record("sqrt", [1.0] * 4, [0.5] * 4)
+        assert out["n"] == 1
+        assert not out["breached"]  # 1 sample < min_samples: no verdict
+        out = mon.record("sqrt", [1.0] * 4, [0.5] * 4)
+        assert out["n"] == 2
+        assert out["breached"]
+        for _ in range(3):
+            out = mon.record("sqrt", [1.0] * 4, [1.0] * 4)
+        # four samples of four apps: one 50%-off sample among them
+        assert out["n"] == 4
+        assert out["mape"] == pytest.approx(4 * 0.5 / 16)
+        assert mon.snapshot()["schemes"]["sqrt"]["n"] == 4
+
     def test_shape_mismatch_rejected(self):
         mon = self.monitor()
         with pytest.raises(ConfigurationError, match="shape mismatch"):
