@@ -113,17 +113,3 @@ def test_bench_frontier_sweep(benchmark):
     points = benchmark(lambda: power_family_frontier(wl, 0.01))
     assert len(points) == 31
 
-
-def test_bench_trace_replay(benchmark):
-    """Open-loop replay throughput (requests/sec through MC+DRAM)."""
-    from repro.sim.mc.fcfs import FCFSScheduler
-    from repro.sim.replay import TraceRecord, replay_trace
-
-    records = [
-        TraceRecord(cycle=i * 60.0, line_addr=i * 13, is_write=i % 6 == 0, app_id=i % 4)
-        for i in range(2_000)
-    ]
-    result = benchmark.pedantic(
-        lambda: replay_trace(records, FCFSScheduler(4)), rounds=3, iterations=1
-    )
-    assert result.total_served == 2_000

@@ -17,6 +17,8 @@ The ``[tool.reprolint]`` table controls the walker and the rules::
 Unknown keys inside a rule table are kept verbatim in
 :attr:`RuleConfig.options` so individual rules can define their own
 knobs (like ``solver-pattern`` above) without touching this module.
+The ``[project.scripts]`` targets are read too: they are the console
+entry points the ``dead-code`` rule roots its import walk at.
 
 TOML parsing uses :mod:`tomllib` (Python >= 3.11) and falls back to the
 ``tomli`` backport on 3.10.  When neither is importable the loader
@@ -85,6 +87,8 @@ class LintConfig:
     rules: dict[str, RuleConfig] = dataclasses.field(default_factory=dict)
     #: where the config came from (None -> built-in defaults)
     source: pathlib.Path | None = None
+    #: modules named by ``[project.scripts]`` (``pkg.cli:main`` -> ``pkg.cli``)
+    entry_points: tuple[str, ...] = ()
 
     def rule(self, rule_id: str) -> RuleConfig:
         return self.rules.get(rule_id, _DEFAULT_RULE_CONFIG)
@@ -113,9 +117,15 @@ def load_config(pyproject: pathlib.Path | None) -> LintConfig:
     data = _load_toml(pyproject)
     if data is None:
         return LintConfig(source=None)
+    scripts = data.get("project", {}).get("scripts", {})
+    entry_points = (
+        tuple(sorted({str(t).partition(":")[0].strip() for t in scripts.values()}))
+        if isinstance(scripts, dict)
+        else ()
+    )
     table = data.get("tool", {}).get("reprolint", {})
     if not isinstance(table, dict):
-        return LintConfig(source=pyproject)
+        return LintConfig(source=pyproject, entry_points=entry_points)
     exclude = table.get("exclude")
     rules_table = table.get("rules", {})
     rules: dict[str, RuleConfig] = {}
@@ -131,4 +141,5 @@ def load_config(pyproject: pathlib.Path | None) -> LintConfig:
         ),
         rules=rules,
         source=pyproject,
+        entry_points=entry_points,
     )

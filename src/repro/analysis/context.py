@@ -117,6 +117,8 @@ class ProjectContext:
     """All analyzed files, indexed for cross-module rules."""
 
     files: list[FileContext]
+    #: ``[project.scripts]`` target modules (see :class:`LintConfig`)
+    entry_points: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         self.by_module: dict[str, FileContext] = {

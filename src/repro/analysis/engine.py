@@ -146,7 +146,7 @@ def analyze_paths(
             if _in_scope(ctx, scope):
                 raw.extend(rule.check_file(ctx))
 
-    project = ProjectContext(files=files)
+    project = ProjectContext(files=files, entry_points=config.entry_points)
     for rule in rules:
         raw.extend(rule.check_project(project))
 

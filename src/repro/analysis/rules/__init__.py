@@ -11,6 +11,14 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     invariants,
     ipc,
     numerics,
+    reachability,
 )
 
-__all__ = ["determinism", "exceptions", "invariants", "ipc", "numerics"]
+__all__ = [
+    "determinism",
+    "exceptions",
+    "invariants",
+    "ipc",
+    "numerics",
+    "reachability",
+]

@@ -1,3 +1,6 @@
+# reprolint: disable-file=dead-code
+# Paper content: the footnote-1 shared-L2 extension (Sec. IV-A).  No
+# console script runs it; examples/shared_l2_partitioning.py does.
 """Shared-L2 extension of the model (paper Sec. IV-A, footnote 1).
 
 The mainline model assumes private L2s, so each app's API is a constant.

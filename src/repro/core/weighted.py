@@ -1,3 +1,6 @@
+# reprolint: disable-file=dead-code
+# Paper content: priority weights (Sec. II-B) and the any-IPC-metric
+# claim (Sec. III-F), run by examples/design_your_own_metric.py.
 """Priority-weighted metrics and their derived optimal partitions.
 
 The paper's motivation (Sec. II-B): "the system performance metric may

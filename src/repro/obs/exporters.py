@@ -7,9 +7,7 @@
 * :func:`chrome_trace` / :func:`write_chrome_trace` -- the Chrome
   trace-event format (``{"traceEvents": [...]}``), loadable in
   ``chrome://tracing`` and https://ui.perfetto.dev.  Spans become
-  complete ("X") events; arbitrary extra events (e.g.
-  ``EventLog.to_obs_trace()`` scheduler timelines) merge into the same
-  file so one run is one timeline.
+  complete ("X") events.
 """
 
 from __future__ import annotations
@@ -102,15 +100,13 @@ def write_jsonl(path, spans: Iterable[SpanRecord]) -> None:
 def chrome_trace(
     spans: Iterable[SpanRecord],
     *,
-    extra_events: Iterable[dict] = (),
     process_name: str = "repro",
 ) -> dict:
-    """Chrome trace-event JSON for ``spans`` (+ pre-built extra events).
+    """Chrome trace-event JSON for ``spans``.
 
     Timestamps are the spans' native microseconds (``perf_counter``
     based, comparable across the threads and forked workers of one
-    machine).  ``extra_events`` must already be trace-event dicts --
-    :meth:`repro.sim.eventlog.EventLog.to_obs_trace` produces them.
+    machine).
     """
     events: list[dict] = []
     pids: set[int] = set()
@@ -141,17 +137,11 @@ def chrome_trace(
                 "args": {"name": f"{process_name}:{pid}"},
             }
         )
-    events.extend(extra_events)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(
-    path,
-    spans: Iterable[SpanRecord],
-    *,
-    extra_events: Iterable[dict] = (),
-) -> None:
-    trace = chrome_trace(spans, extra_events=extra_events)
+def write_chrome_trace(path, spans: Iterable[SpanRecord]) -> None:
+    trace = chrome_trace(spans)
     directory = os.path.dirname(str(path))
     if directory:
         os.makedirs(directory, exist_ok=True)

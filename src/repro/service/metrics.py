@@ -12,9 +12,11 @@ into the process-wide :class:`~repro.obs.registry.MetricsRegistry`
 ``service.latency_ms``, ``service.batches``, ...), so the same series
 show up in the Prometheus/JSON exporters alongside engine, runner and
 cache telemetry.  The ``/metrics`` JSON keeps its original field names
--- the snapshot shape here is an API.  Registry labels bucket rare
-request paths as ``other`` past a small cap: paths are client
-controlled and label cardinality must stay bounded.
+-- the snapshot shape here is an API.  Both the ``endpoints`` section
+and the registry key a request by the same bounded label: its route
+(stream session ids become ``{id}``, query strings are dropped), with
+rare routes bucketed as ``other`` past a small cap, because paths are
+client controlled.
 """
 
 from __future__ import annotations
@@ -122,6 +124,7 @@ class ServiceMetrics:
         self.build_info: dict[str, str] = {}
         self.registry = registry if registry is not None else obs.registry()
         self.registry.gauge("process.start_time_unix").set(self.started_unix)
+        #: keyed by the bounded path label (see _path_label)
         self.endpoints: dict[str, EndpointStats] = {}
         #: per-engine solve latency ("analytic" / "surrogate" / "sim");
         #: label cardinality is bounded by the PROFILES constant
@@ -146,12 +149,21 @@ class ServiceMetrics:
         return stats
 
     def _path_label(self, path: str) -> str:
-        """A bounded label value for ``path`` (rare paths -> 'other')."""
+        """A bounded label for ``path``: its route, rare routes -> 'other'."""
         if path in self._path_labels:
             return path
+        route = path.partition("?")[0]
+        if route.startswith("/v1/stream/") and route != "/v1/stream/open":
+            route = (
+                "/v1/stream/{id}/counters"
+                if route.endswith("/counters")
+                else "/v1/stream/{id}"
+            )
+        if route in self._path_labels:
+            return route
         if len(self._path_labels) < _MAX_PATH_LABELS:
-            self._path_labels.add(path)
-            return path
+            self._path_labels.add(route)
+            return route
         return "other"
 
     def set_build_info(self, **info: str) -> None:
@@ -173,11 +185,11 @@ class ServiceMetrics:
         timeout: bool = False,
         shed: bool = False,
     ) -> None:
-        self.endpoint(path).observe(
+        label = self._path_label(path)
+        self.endpoint(label).observe(
             latency_ms, error=error, timeout=timeout, shed=shed
         )
         reg = self.registry
-        label = self._path_label(path)
         series = self._path_series.get(label)
         if series is None:
             series = self._path_series[label] = (

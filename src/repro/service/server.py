@@ -378,6 +378,7 @@ class PartitionService:
                 if method != "POST":
                     return _method_not_allowed(method)
                 self.surrogate.reload()
+                self.watch.drift.reset()
                 return 200, self.surrogate.snapshot()
             if path.startswith("/v1/debug/"):
                 if method != "GET":
@@ -587,6 +588,27 @@ class PartitionService:
         finally:
             self.watch.sampler.release()
 
+    def _score_fallback(self, request: PartitionRequest, sim_row) -> None:
+        """Score the model against a sampled fallback's own sim answer.
+
+        Under drift auto-fallback a breached scheme is answered by the
+        sim, so it is never shadowed.  The request already computed the
+        sim row, so scoring the loaded model's prediction against it
+        keeps the scheme's window fresh, and lets it recover, at no
+        extra simulation.  Fallbacks with no model to score (no
+        artifact, no fit for the scheme) are skipped.
+        """
+        model, _ = self.surrogate.resolve()
+        if model is None or not model.supports(request.scheme):
+            return
+        if not self.watch.sampler.try_acquire():
+            return
+        try:
+            predicted = solve_partition_rows([request], surrogate=model)[0]
+            self.watch.record_shadow(request, predicted, sim_row)
+        finally:
+            self.watch.sampler.release()
+
     async def drain_shadows(self) -> None:
         """Wait for every in-flight shadow solve (tests, benchmarks)."""
         while self._shadow_tasks:
@@ -684,6 +706,8 @@ class PartitionService:
                 row, batch_size = self._solve_partition_group([request])[0], 1
         if source == "surrogate":
             self._maybe_shadow(request, row)
+        elif source == "sim" and request.profile == "surrogate":
+            self._score_fallback(request, row)
         response = partition_response(
             request, row, batch_size=batch_size, source=source
         )
@@ -752,6 +776,8 @@ class PartitionService:
                 *(self._solve_sim(request) for _, request, _ in to_sim)
             )
             for (i, request, key), row in zip(to_sim, rows):
+                if request.profile == "surrogate":
+                    self._score_fallback(request, row)
                 response = partition_response(
                     request, row, batch_size=1, source="sim"
                 )

@@ -7,7 +7,8 @@ composes the four watch primitives and adapts service events to them:
   flight recorder;
 * every solve call feeds the per-profile ``solver:<source>`` latency
   objectives;
-* every completed shadow solve feeds the drift monitor with the
+* every completed shadow solve, and every sampled fallback while the
+  monitor holds ``degraded``, feeds the drift monitor with the
   request's normalized per-app (sim, surrogate) APC pair;
 * every pushed stream epoch mirrors re-solve latency and β churn into
   the registry.

@@ -18,7 +18,6 @@ from repro.sim.mc import (
     Scheduler,
     StartTimeFairScheduler,
 )
-from repro.sim.cache import AccessOutcome, Cache, CacheConfig, CacheHierarchy
 from repro.sim.profiler import OnlineProfiler
 from repro.sim.request import Request
 from repro.sim.stats import AppCounters, AppWindowResult, SimResult
@@ -49,10 +48,6 @@ __all__ = [
     "AppCounters",
     "AppWindowResult",
     "SimResult",
-    "AccessOutcome",
-    "Cache",
-    "CacheConfig",
-    "CacheHierarchy",
     "MissAddressStream",
     "StreamSpec",
 ]

@@ -1,3 +1,6 @@
+# reprolint: disable-file=dead-code
+# Paper content: the Table II caches behind the footnote-1 shared-L2
+# extension (Sec. IV-A), run by examples/shared_l2_partitioning.py.
 """Functional set-associative cache hierarchy (Table II's private L1/L2).
 
 The analytical model needs each application's *off-chip* access rate per

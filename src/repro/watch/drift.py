@@ -228,6 +228,14 @@ class DriftMonitor:
             "degraded": degraded,
         }
 
+    def reset(self) -> None:
+        """Forget every window and breach: they scored the old artifact."""
+        with self._lock:
+            self._pairs.clear()
+            self._breached.clear()
+        if self._registry is not None:
+            self._registry.gauge("surrogate.drift.degraded").set(0.0)
+
     # ------------------------------------------------------------------
     @property
     def degraded(self) -> bool:

@@ -1,3 +1,6 @@
+# reprolint: disable-file=dead-code
+# Paper content: reference streams for the footnote-1 shared-L2
+# extension (Sec. IV-A), run by examples/shared_l2_partitioning.py.
 """Reference-stream generators + first-principles APKI calibration.
 
 The mainline experiments parameterize each benchmark's off-chip miss

@@ -132,6 +132,7 @@ def test_rule_catalogue_is_complete() -> None:
         "ipc-mutable-default",
         "ipc-seqlock",
         "inv-conservation",
+        "dead-code",
         "exc-broad",
     }
     assert expected <= set(all_rules())

@@ -37,12 +37,6 @@ class TestChromeTrace:
         by = {e["name"]: e for e in doc["traceEvents"] if e["ph"] == "X"}
         assert by["inner"]["args"]["parent_id"] == by["outer"]["args"]["span_id"]
 
-    def test_extra_events_merge_into_the_same_file(self):
-        extra = [{"name": "mem.request", "ph": "i", "ts": 1.0, "pid": 1,
-                  "tid": 0, "s": "t", "args": {}}]
-        doc = obs.chrome_trace(_make_spans(1), extra_events=extra)
-        assert any(e["ph"] == "i" for e in doc["traceEvents"])
-
     def test_write_creates_parent_dirs_and_loads_back(self, tmp_path):
         spans = _make_spans()
         path = tmp_path / "nested" / "run.trace.json"

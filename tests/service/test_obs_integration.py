@@ -14,7 +14,12 @@ import json
 import pytest
 
 from repro import obs
-from repro.service import AsyncServiceClient, PartitionService, ServiceConfig
+from repro.service import (
+    AsyncServiceClient,
+    PartitionService,
+    ServiceConfig,
+    ServiceError,
+)
 from repro.service.metrics import EndpointStats
 
 APC = [0.004, 0.007, 0.002]
@@ -136,9 +141,7 @@ def test_path_labels_bucket_as_other_past_cap():
     m = ServiceMetrics(registry=metrics_registry)
     for i in range(40):
         m.observe_request(f"/p{i}", 1.0)
-    # exact per-path stats keep every path ...
-    assert len(m.endpoints) == 40
-    # ... the registry label space stays bounded
+    # the registry label space stays bounded ...
     labels = {
         labels_["path"]
         for name, _, labels_, _ in metrics_registry.series()
@@ -146,6 +149,41 @@ def test_path_labels_bucket_as_other_past_cap():
     }
     assert "other" in labels
     assert metrics_registry.get_value("service.requests", path="other") == 24.0
+    # ... and the per-endpoint stats are keyed by the same labels
+    assert set(m.endpoints) == labels
+    assert len(m.endpoints) == 17
+    assert m.endpoints["other"].requests == 24
+
+
+def test_endpoints_section_is_keyed_by_bounded_route_labels():
+    sessions = []
+
+    async def scenario(service, client):
+        for _ in range(5):
+            opened = await client.stream_open(API, 0.01, apc_alone=APC)
+            sid = opened["session"]
+            sessions.append(sid)
+            await client.stream_push(sid, 1_000_000.0, [4000, 7000, 2000])
+            await client.stream_push(sid, 1_000_000.0, [4500, 7000, 2000])
+            await client.stream_close(sid)
+        await client.debug("recent", limit=1)
+        for i in range(40):
+            with pytest.raises(ServiceError):
+                await client._request("GET", f"/nope/{i}?q={i}")
+        return await client.metrics()
+
+    endpoints = run_with_service(scenario)["endpoints"]
+    # pushes count under the route template, never per session id
+    assert endpoints["/v1/stream/{id}/counters"]["requests"] == 10
+    assert endpoints["/v1/stream/{id}"]["requests"] == 5
+    assert endpoints["/v1/stream/open"]["requests"] == 5
+    # the query string is not part of the label
+    assert endpoints["/v1/debug/recent"]["requests"] == 1
+    assert not [p for p in endpoints if "?" in p]
+    assert not [p for p in endpoints for sid in sessions if sid in p]
+    # 16 labels at most, then everything else is "other"
+    assert len(endpoints) <= 17
+    assert endpoints["other"]["requests"] >= 40 - 16
 
 
 # ----------------------------------------------------------------------

@@ -251,6 +251,99 @@ def test_drift_drill_perturbed_artifact_degrades_and_falls_back(tmp_path):
     assert "drift" in str(recent["records"][0]["detail"])
 
 
+def test_reload_clears_degraded_and_serves_surrogate_again(tmp_path):
+    save_model(make_drifted_model(("sqrt",)), tmp_path)
+
+    async def scenario(service, client):
+        await _drill_requests(client)
+        await service.drain_shadows()
+        flagged = await client.debug("drift")
+        # the operator ships a healthy artifact and reloads it
+        save_model(make_model(("sqrt",)), tmp_path)
+        await client._request("POST", "/v1/surrogate/reload")
+        sources = []
+        for k in range(10):
+            apc = [v * (1.0 + 0.01 * k) for v in APC]
+            body = await client.partition(
+                apc, 0.01, scheme="sqrt", profile="surrogate"
+            )
+            sources.append(body["source"])
+        await service.drain_shadows()
+        return flagged, sources, await client.debug("drift")
+
+    flagged, sources, drift = run_with_service(
+        scenario,
+        surrogate_dir=str(tmp_path),
+        cache=False,
+        shadow_rate=1.0,
+        shadow_max_inflight=8,
+        drift_min_samples=6,
+    )
+    assert flagged["degraded"] is True
+    # the perturbed artifact's windows went with it
+    assert sources == ["surrogate"] * 10
+    assert drift["degraded"] is False
+    assert drift["schemes"]["sqrt"]["breached"] is False
+    assert drift["schemes"]["sqrt"]["mape"] < 0.05
+
+
+def test_sampled_fallbacks_score_the_model_without_extra_sims(
+    tmp_path, monkeypatch
+):
+    import repro.surrogate.simpath as simpath
+
+    sims = []
+    simulate = simpath.simulate_partition_request
+
+    def counting_simulate(*args, **kwargs):
+        sims.append(args[0])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(simpath, "simulate_partition_request", counting_simulate)
+    save_model(make_drifted_model(("sqrt",)), tmp_path)
+
+    async def scenario(service, client):
+        await _drill_requests(client)
+        await service.drain_shadows()
+        before = await client.debug("drift")
+        fallbacks_before = (await client.metrics())["surrogate"]["fallbacks"]
+        sims_before = len(sims)
+        sources = []
+        for k in range(5):
+            apc = [v * (1.0 + 0.01 * k) for v in APC]
+            body = await client.partition(
+                apc, 0.01, scheme="sqrt", profile="surrogate"
+            )
+            sources.append(body["source"])
+        await service.drain_shadows()
+        fallbacks = (await client.metrics())["surrogate"]["fallbacks"]
+        after = await client.debug("drift")
+        return (
+            before, after, sources, fallbacks - fallbacks_before,
+            len(sims) - sims_before,
+        )
+
+    before, after, sources, fallbacks, sim_solves = run_with_service(
+        scenario,
+        surrogate_dir=str(tmp_path),
+        cache=False,
+        shadow_rate=1.0,
+        shadow_max_inflight=8,
+        drift_min_samples=6,
+    )
+    assert before["degraded"] is True
+    assert sources == ["sim"] * 5
+    # every sampled fallback grew the scheme's window ...
+    n_before = before["schemes"]["sqrt"]["n"]
+    assert after["schemes"]["sqrt"]["n"] == n_before + 5
+    assert after["shadow"]["sampled"] == before["shadow"]["sampled"] + 5
+    # ... from the sim row its request already solved: no extra sims
+    assert fallbacks == 5
+    assert sim_solves == fallbacks
+    # the perturbed model is still wrong, so the flag holds
+    assert after["degraded"] is True
+
+
 def test_healthy_artifact_stays_healthy_under_shadowing(tmp_path):
     save_model(make_model(("sqrt",)), tmp_path)
 

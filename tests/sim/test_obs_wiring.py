@@ -1,8 +1,6 @@
-"""Engine / runner / event-log wiring into repro.obs."""
+"""Engine and runner wiring into repro.obs."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -10,9 +8,7 @@ from repro import obs
 from repro.experiments.runner import Runner
 from repro.sim.cpu import CoreSpec
 from repro.sim.engine import SimConfig, simulate
-from repro.sim.eventlog import EventLog
 from repro.sim.mc.fcfs import FCFSScheduler
-from repro.sim.request import Request
 
 
 @pytest.fixture(autouse=True)
@@ -76,43 +72,6 @@ class TestEngineSpans:
         simulate([_spec()], lambda n: FCFSScheduler(n), CFG)
         assert len(obs.tracer()) == 0
         assert obs.registry().get_value("engine.runs") == 1.0
-
-
-class TestEventLogTrace:
-    def _log(self):
-        log = EventLog()
-        s = log.attach(FCFSScheduler(2))
-        s.enqueue(Request(app_id=0, line_addr=0, is_write=False, created=0.0), 10.0)
-        s.enqueue(Request(app_id=1, line_addr=1, is_write=True, created=0.0), 12.0)
-        s.select(20.0)
-        return log
-
-    def test_events_become_instants_and_counters(self):
-        events = self._log().to_obs_trace(pid=7)
-        instants = [e for e in events if e["ph"] == "i"]
-        counters = [e for e in events if e["ph"] == "C"]
-        metas = [e for e in events if e["ph"] == "M"]
-        assert {e["name"] for e in instants} == {"enqueue", "grant"}
-        assert all(e["pid"] == 7 for e in instants)
-        # per-app tracks, queue depth as a counter series
-        assert {e["tid"] for e in instants} == {0, 1}
-        assert counters and "queue_depth" in counters[0]["name"]
-        assert any("app" in m["args"]["name"] for m in metas)
-
-    def test_cycle_to_us_mapping(self):
-        events = self._log().to_obs_trace(origin_us=100.0, cycles_per_us=10.0)
-        first = [e for e in events if e["ph"] == "i"][0]
-        assert first["ts"] == pytest.approx(100.0 + 10.0 / 10.0)
-
-    def test_merges_with_spans_into_one_chrome_file(self, tmp_path):
-        simulate([_spec()], lambda n: FCFSScheduler(n), CFG)
-        path = tmp_path / "run.trace.json"
-        obs.write_chrome_trace(
-            path, obs.tracer().spans(), extra_events=self._log().to_obs_trace()
-        )
-        doc = json.loads(path.read_text())
-        phs = {e["ph"] for e in doc["traceEvents"]}
-        assert {"X", "i", "C", "M"} <= phs
 
 
 class TestRunnerWiring:
