@@ -38,7 +38,7 @@ from repro.core.metrics import ALL_METRICS
 from repro.core.model import AnalyticalModel
 from repro.core.partitioning import default_schemes
 from repro.experiments.report import format_table
-from repro.experiments.runner import Runner
+from repro.experiments.runner import Runner, scheduler_factory
 from repro.sim.engine import simulate
 from repro.sim.mc.stf import StartTimeFairScheduler
 from repro.workloads.mixes import mix_core_specs
@@ -188,7 +188,7 @@ def profiler_ablation(
     errors = {}
     for mode in ("stalled", "pending"):
         cfg = replace(runner.sim_config, interference_mode=mode)
-        factory = runner.scheduler_factory(scheme, runner.profiles(specs))
+        factory = scheduler_factory(scheme, runner.profiles(specs))
         sim = simulate(specs, factory, cfg)
         est = sim.apc_alone_est
         errors[mode] = float(np.mean(np.abs(est - true_alone) / true_alone))

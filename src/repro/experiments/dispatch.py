@@ -15,19 +15,16 @@ Executes the task DAG :mod:`repro.experiments.plan` compiles:
   mid-flight (profile -> run edges) are injected into the live queue
   and picked up ("stolen") by whichever worker idles first, counted by
   the ``plan.steals`` counter;
-* **shared-memory result transport**: a worker packs each simulation's
-  numeric payload into one ``multiprocessing.shared_memory`` block and
-  returns only the block name + shape metadata; the parent maps the
-  block and scatters *views* of it (zero-copy) back into each
-  experiment's grid.  ``REPRO_NO_SHM`` (or any failure to create a
-  segment) falls back to plain pickling -- the transport is an
-  accelerator, never a correctness dependency.
+* **pickled results**: a worker returns each result object as it is,
+  through the pool's own pickling.  A 4-app run result pickles to about
+  1 KB; a pickle round trip costs less than a copy through a
+  shared-memory segment and holds no file descriptor open in the parent.
 
 The worker entry points (``profile_task`` / ``run_task`` /
 ``heuristic_task``) rebuild each simulation from a small picklable
 description, ``run_task`` through the serial ``Runner``'s
-scheme-to-scheduler wiring, so planned results are bit-identical to the
-serial ``Runner`` -- asserted by the test-suite.
+:func:`~repro.experiments.runner.scheduler_factory`, so planned results
+are bit-identical to the serial ``Runner`` -- asserted by the test-suite.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from repro.util.errors import ConfigurationError
 __all__ = [
     "resolve_workers",
     "CostModel",
-    "ShmKeeper",
     "Dispatcher",
     "DispatchStats",
     "PlanResults",
@@ -207,220 +203,6 @@ class CostModel:
 
 
 # ----------------------------------------------------------------------
-# shared-memory result transport
-# ----------------------------------------------------------------------
-#: per-app numeric fields, in block column order
-_APP_FIELDS = (
-    "instructions",
-    "accesses",
-    "reads",
-    "writes",
-    "window_cycles",
-    "mean_latency",
-    "interference_cycles",
-    "apc_alone_est",
-)
-_APP_INT_FIELDS = frozenset({"accesses", "reads", "writes"})
-
-
-def _shm_enabled() -> bool:
-    if os.environ.get("REPRO_NO_SHM"):
-        return False
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - all CPython >= 3.8 have it
-        return False
-    return True
-
-
-def _shm_export(block: np.ndarray) -> str | None:
-    """Worker side: copy ``block`` into a fresh segment, hand ownership
-    to the parent (the worker unregisters it from its resource tracker
-    so the parent controls the unlink)."""
-    try:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=block.nbytes)
-        np.ndarray(block.shape, dtype=np.float64, buffer=shm.buf)[:] = block
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except (ImportError, AttributeError, OSError):
-            # best-effort interop with a private CPython API; the parent
-            # unlinks on attach either way, so a failure here only means
-            # the worker's tracker logs a spurious leak warning
-            pass
-        name = shm.name
-        shm.close()
-        return name
-    except (OSError, ValueError):
-        # /dev/shm full or segment creation refused: fall back to the
-        # pickle transport by reporting "no segment"
-        return None
-
-
-#: mappings parked for the life of the process -- unmapping a segment
-#: while a numpy view still points into it is a segfault, not an
-#: exception (numpy's buffer hold does not stop ``mmap.close``), so
-#: released keepers move their mappings here instead of closing them.
-#: The names are already unlinked; the OS reclaims the pages at exit.
-_GRAVEYARD: list = []
-
-
-class ShmKeeper:
-    """Parent-side owner of attached segments.
-
-    Unpacked results hold zero-copy numpy *views* into these segments.
-    The segment *name* is unlinked immediately on attach (the worker
-    already dropped its mapping, so the parent's mapping is the only
-    thing keeping the memory alive -- nothing can leak into
-    ``/dev/shm`` even on a hard kill).  :meth:`close` therefore only
-    transfers the mappings to a process-lifetime graveyard; actually
-    unmapping under live views would be unsafe, and each block is a
-    few hundred bytes per simulated app, so pinning them is cheap.
-    """
-
-    def __init__(self) -> None:
-        self._segments: list = []
-
-    def attach(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        from multiprocessing import shared_memory
-
-        try:
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:  # track= is 3.13+; earlier attaches don't track
-            shm = shared_memory.SharedMemory(name=name)
-        try:
-            shm.unlink()
-        except OSError:
-            pass  # racing unlink already removed the name; ownership is ours
-        self._segments.append(shm)
-        return np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-
-    @property
-    def n_segments(self) -> int:
-        return len(self._segments)
-
-    def close(self) -> None:
-        _GRAVEYARD.extend(self._segments)
-        self._segments = []
-
-    def __del__(self) -> None:  # pragma: no cover - GC order dependent
-        try:
-            self.close()
-        except Exception:  # reprolint: disable=exc-broad
-            pass  # __del__ must never raise, least of all at interpreter exit
-
-
-def _sim_meta(sim) -> dict:
-    return {
-        "names": sim.names,
-        "window_cycles": sim.window_cycles,
-        "bus_utilization": sim.bus_utilization,
-        "row_hit_rate": sim.row_hit_rate,
-        "scheduler_name": sim.scheduler_name,
-        "dram_name": sim.dram_name,
-        "seed": sim.seed,
-        "warmup_cycles": sim.warmup_cycles,
-        "extra": sim.extra,
-    }
-
-
-def _sim_block(sim) -> np.ndarray:
-    block = np.empty((sim.n, len(_APP_FIELDS)), dtype=np.float64)
-    for i, app in enumerate(sim.apps):
-        for j, f in enumerate(_APP_FIELDS):
-            block[i, j] = getattr(app, f)
-    return block
-
-
-def _rebuild_sim(block: np.ndarray, meta: dict):
-    from repro.sim.stats import AppWindowResult, SimResult
-
-    apps = []
-    for i, app_name in enumerate(meta["names"]):
-        kwargs = {}
-        for j, f in enumerate(_APP_FIELDS):
-            v = block[i, j]
-            kwargs[f] = int(v) if f in _APP_INT_FIELDS else float(v)
-        apps.append(AppWindowResult(name=app_name, **kwargs))
-    return SimResult(
-        apps=tuple(apps),
-        window_cycles=meta["window_cycles"],
-        bus_utilization=meta["bus_utilization"],
-        row_hit_rate=meta["row_hit_rate"],
-        scheduler_name=meta["scheduler_name"],
-        dram_name=meta["dram_name"],
-        seed=meta["seed"],
-        warmup_cycles=meta["warmup_cycles"],
-        extra=dict(meta["extra"]),
-    )
-
-
-def pack_scheme_run(run) -> tuple:
-    """Worker side: SchemeRun -> ("shm", ...) | ("pickle", run)."""
-    if not _shm_enabled():
-        return ("pickle", run)
-    sim = run.sim
-    block = np.concatenate(
-        [
-            _sim_block(sim),
-            np.asarray(run.ipc_alone, dtype=np.float64).reshape(-1, 1),
-            np.asarray(run.apc_alone, dtype=np.float64).reshape(-1, 1),
-        ],
-        axis=1,
-    )
-    name = _shm_export(block)
-    if name is None:
-        return ("pickle", run)
-    meta = _sim_meta(sim)
-    meta.update(mix=run.mix, scheme=run.scheme, shape=block.shape)
-    return ("shm", (name, meta))
-
-
-def unpack_scheme_run(payload: tuple, keeper: ShmKeeper):
-    tag, data = payload
-    if tag == "pickle":
-        return data
-    name, meta = data
-    block = keeper.attach(name, tuple(meta["shape"]))
-    sim = _rebuild_sim(block[:, : len(_APP_FIELDS)], meta)
-    from repro.experiments.runner import SchemeRun
-
-    # the alone vectors are zero-copy views into the shared block
-    return SchemeRun(
-        mix=meta["mix"],
-        scheme=meta["scheme"],
-        sim=sim,
-        ipc_alone=block[:, -2],
-        apc_alone=block[:, -1],
-    )
-
-
-def pack_sim_result(sim) -> tuple:
-    """Worker side: bare SimResult (heuristic tasks) -> transport payload."""
-    if not _shm_enabled():
-        return ("pickle", sim)
-    block = _sim_block(sim)
-    name = _shm_export(block)
-    if name is None:
-        return ("pickle", sim)
-    meta = _sim_meta(sim)
-    meta["shape"] = block.shape
-    return ("shm", (name, meta))
-
-
-def unpack_sim_result(payload: tuple, keeper: ShmKeeper):
-    tag, data = payload
-    if tag == "pickle":
-        return data
-    name, meta = data
-    block = keeper.attach(name, tuple(meta["shape"]))
-    return _rebuild_sim(block, meta)
-
-
-# ----------------------------------------------------------------------
 # worker entry points (module-level so they pickle under forkserver)
 # ----------------------------------------------------------------------
 def _worker_init() -> None:
@@ -448,7 +230,7 @@ def run_task(args):
     ((mix, scheme, copies), SchemeRun)."""
     mix, scheme_name, copies, config, alone_table = args
     from repro.core.apps import AppProfile, Workload
-    from repro.experiments.runner import Runner, SchemeRun
+    from repro.experiments.runner import SchemeRun, scheduler_factory
     from repro.sim.engine import simulate
     from repro.workloads.mixes import mix_core_specs
 
@@ -467,10 +249,7 @@ def run_task(args):
     ipc_alone = np.array(
         [alone_table[s.name.split("#")[0]][1] for s in specs]
     )
-    # reuse the serial runner's scheme->scheduler wiring
-    shim = Runner(config)
-    factory = shim.scheduler_factory(scheme_name, profiles)
-    sim = simulate(specs, factory, config)
+    sim = simulate(specs, scheduler_factory(scheme_name, profiles), config)
     run = SchemeRun(
         mix=mix,
         scheme=scheme_name,
@@ -506,29 +285,26 @@ def _task_attrs(kind: str, payload) -> dict:
 
 def task_worker(args):
     """Generic DAG worker: (digest, kind, payload, parent_span_id) ->
-    (digest, kind, packed_result, worker_spans, duration_s)."""
+    (digest, kind, result, worker_spans, duration_s)."""
     digest, kind, payload, parent_id = args
     t0 = time.perf_counter()
     with obs.span(
         _SPAN_NAME[kind], attrs=_task_attrs(kind, payload), parent_id=parent_id
     ):
         if kind == "profile":
-            result = ("raw", profile_task(payload))
+            result = profile_task(payload)
         elif kind == "run":
-            _key, run = run_task(payload)
-            result = pack_scheme_run(run)
+            _key, result = run_task(payload)
         elif kind == "heuristic":
-            result = pack_sim_result(heuristic_task(payload))
+            result = heuristic_task(payload)
         elif kind == "sprofile":
             from repro.surrogate.tasks import surrogate_profile_task
 
-            result = ("raw", surrogate_profile_task(payload))
+            result = surrogate_profile_task(payload)
         elif kind == "srun":
-            # srun results are small numeric dicts: the pickle transport
-            # is already cheap, no shm packing needed
             from repro.surrogate.tasks import surrogate_run_task
 
-            result = ("raw", surrogate_run_task(payload))
+            result = surrogate_run_task(payload)
         else:  # pragma: no cover - defensive
             raise ConfigurationError(f"unknown task kind {kind!r}")
     return digest, kind, result, obs.tracer().drain(), time.perf_counter() - t0
@@ -547,7 +323,10 @@ class DispatchStats:
     n_steals: int = 0
     busy_us: float = 0.0
     wall_s: float = 0.0
+    #: always 0 (results return by pickle); perfbench reads it as dispatch.shm_segments
     n_shm_segments: int = 0
+    #: worker seconds per executed task, by digest
+    task_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def utilization(self) -> float:
@@ -621,20 +400,8 @@ class Dispatcher:
             return (p.mix, p.scheme, p.copies, p.config, alone_table)
         return (p.mix, p.scheduler, p.copies, p.config)
 
-    @staticmethod
-    def _unpack(kind: str, payload, keeper: ShmKeeper):
-        if kind in ("profile", "sprofile", "srun"):
-            return payload[1]  # ("raw", ...) transport
-        if kind == "run":
-            return unpack_scheme_run(payload, keeper)
-        return unpack_sim_result(payload, keeper)
-
     def execute(
-        self,
-        plan,
-        *,
-        parent_span_id: str | None = None,
-        keeper: ShmKeeper | None = None,
+        self, plan, *, parent_span_id: str | None = None
     ) -> tuple[dict[str, object], DispatchStats]:
         """Run every task of ``plan``; returns ({digest: result}, stats).
 
@@ -643,17 +410,16 @@ class Dispatcher:
         :class:`~repro.sim.stats.SimResult`.
         """
         try:
-            return self._execute_once(plan, parent_span_id, keeper)
+            return self._execute_once(plan, parent_span_id)
         except BrokenProcessPool:
             # a worker died (OOM-killed, signalled); rebuild and retry once
             self.shutdown()
-            return self._execute_once(plan, parent_span_id, keeper)
+            return self._execute_once(plan, parent_span_id)
 
-    def _execute_once(self, plan, parent_span_id, keeper):
+    def _execute_once(self, plan, parent_span_id):
         reg = obs.registry()
         cache = SimCache()
         cost = CostModel()
-        keeper = keeper if keeper is not None else ShmKeeper()
         stats = DispatchStats(workers=self.workers)
         results: dict[str, object] = {}
         self.last_execution_order = []
@@ -744,17 +510,13 @@ class Dispatcher:
             newly_ready: list[str] = []
             for fut in done:
                 digest = futures.pop(fut)
-                r_digest, kind, packed, spans, dur = fut.result()
+                r_digest, kind, result, spans, dur = fut.result()
                 obs.tracer().ingest(spans)
                 stats.busy_us += sum(
                     s.dur_us for s in spans if s.name == _SPAN_NAME[kind]
                 )
                 cost.observe(r_digest, kind, dur)
-                result = self._unpack(kind, packed, keeper)
-                if kind == "run" and packed[0] == "shm":
-                    stats.n_shm_segments += 1
-                elif kind == "heuristic" and packed[0] == "shm":
-                    stats.n_shm_segments += 1
+                stats.task_s[r_digest] = dur
                 results[r_digest] = result
                 self.last_execution_order.append(r_digest)
                 stats.n_tasks += 1
@@ -812,16 +574,10 @@ atexit.register(shutdown_dispatchers)
 # ----------------------------------------------------------------------
 @dataclass
 class PlanResults:
-    """Executed plan: results by digest + scatter helpers.
-
-    Hold on to this object while using the scattered results -- run
-    results may be zero-copy views into shared-memory segments owned by
-    ``keeper``; :meth:`close` unlinks them when done.
-    """
+    """Executed plan: results by digest + scatter helpers."""
 
     plan: object
     results: dict[str, object]
-    keeper: ShmKeeper
     stats: DispatchStats = field(default_factory=DispatchStats)
 
     def runner(self, config, **runner_kwargs):
@@ -857,20 +613,13 @@ class PlanResults:
                 out[(p.mix, p.scheduler, p.copies)] = self.results[digest]
         return out
 
-    def close(self) -> None:
-        self.keeper.close()
-
 
 def execute_plan(plan, max_workers: int | None = None) -> PlanResults:
     """Execute a compiled sweep plan on the shared dispatcher."""
     dispatcher = get_dispatcher(max_workers)
-    keeper = ShmKeeper()
     with obs.span(
         "plan.dispatch",
         attrs={"tasks": plan.n_unique, "demanded": plan.n_demanded},
     ) as phase:
-        results, stats = dispatcher.execute(
-            plan, parent_span_id=phase.span_id, keeper=keeper
-        )
-    stats.n_shm_segments = keeper.n_segments
-    return PlanResults(plan=plan, results=results, keeper=keeper, stats=stats)
+        results, stats = dispatcher.execute(plan, parent_span_id=phase.span_id)
+    return PlanResults(plan=plan, results=results, stats=stats)

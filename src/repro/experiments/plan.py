@@ -500,6 +500,9 @@ class SweepPlan:
         p.write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
 
 
+_PROFILE_POINTS = (ProfilePoint, SurrogateProfilePoint)
+
+
 def _deps_for(point: Point, profile_digests: dict[tuple[object, SimConfig], str]):
     """Profile -> run dependency edges (the alone table feeds shares)."""
     if isinstance(point, SurrogateRunPoint):
@@ -519,6 +522,42 @@ def _deps_for(point: Point, profile_digests: dict[tuple[object, SimConfig], str]
         for b in _mix_benches((point.mix,))
         if (b, point.config) in profile_digests
     )
+
+
+def _compile(
+    demand_points: dict[str, list[Point]], residue: dict[str, int]
+) -> SweepPlan:
+    """The one compile loop behind every plan constructor.
+
+    Each demand is deduplicated within itself (first point per digest
+    wins, in order); the global task table then holds every profile
+    before any task that depends on one, and each dependent task is
+    wired to the profiles of every demand.
+    """
+    profile_digests: dict[tuple[object, SimConfig], str] = {}
+    tasks: dict[str, SimTask] = {}
+    dependents: list[tuple[str, Point]] = []
+    demand: dict[str, tuple[str, ...]] = {}
+    for name, points in demand_points.items():
+        seen: dict[str, Point] = {}
+        for p in points:
+            d = p.digest()
+            seen.setdefault(d, p)
+            if isinstance(p, _PROFILE_POINTS):
+                key = p.bench if isinstance(p, ProfilePoint) else p.app
+                profile_digests[(key, p.config)] = d
+        demand[name] = tuple(seen)
+        for d, p in seen.items():
+            if not isinstance(p, _PROFILE_POINTS):
+                dependents.append((d, p))
+            elif d not in tasks:
+                tasks[d] = SimTask(digest=d, point=p)
+    for d, p in dependents:
+        if d not in tasks:
+            tasks[d] = SimTask(
+                digest=d, point=p, deps=_deps_for(p, profile_digests)
+            )
+    return SweepPlan(tasks=tasks, demand=demand, serial_residue=residue)
 
 
 def compile_plan(
@@ -550,43 +589,8 @@ def compile_plan(
         demand_points: dict[str, list[Point]] = {}
         residue: dict[str, int] = {}
         for name in names:
-            points, n_serial = _DEMANDS[name](config_factory)
-            # unique within the exhibit (serial runners memoize locally)
-            seen: dict[str, Point] = {}
-            for p in points:
-                seen.setdefault(p.digest(), p)
-            demand_points[name] = list(seen.values())
-            residue[name] = n_serial
-
-        # global dedup: profiles first (topological order), then the rest
-        profile_digests: dict[tuple[object, SimConfig], str] = {}
-        tasks: dict[str, SimTask] = {}
-        for points in demand_points.values():
-            for p in points:
-                if isinstance(p, (ProfilePoint, SurrogateProfilePoint)):
-                    d = p.digest()
-                    key = p.bench if isinstance(p, ProfilePoint) else p.app
-                    profile_digests[(key, p.config)] = d
-                    if d not in tasks:
-                        tasks[d] = SimTask(digest=d, point=p)
-        for points in demand_points.values():
-            for p in points:
-                if isinstance(p, (ProfilePoint, SurrogateProfilePoint)):
-                    continue
-                d = p.digest()
-                if d not in tasks:
-                    tasks[d] = SimTask(
-                        digest=d, point=p, deps=_deps_for(p, profile_digests)
-                    )
-
-        plan = SweepPlan(
-            tasks=tasks,
-            demand={
-                name: tuple(p.digest() for p in points)
-                for name, points in demand_points.items()
-            },
-            serial_residue=residue,
-        )
+            demand_points[name], residue[name] = _DEMANDS[name](config_factory)
+        plan = _compile(demand_points, residue)
     obs.registry().gauge("parallel.dedup_ratio").set(plan.dedup_ratio)
     return plan
 
@@ -597,52 +601,17 @@ def grid_plan(
     """A single-grid plan: every (mix, scheme) run of one grid plus the
     alone profiles it depends on."""
     mixes = tuple(mixes)
-    schemes = tuple(schemes)
-    profile_digests: dict[tuple[str, SimConfig], str] = {}
-    tasks: dict[str, SimTask] = {}
-    for p in _profiles(mixes, config):
-        d = p.digest()
-        profile_digests[(p.bench, p.config)] = d
-        tasks[d] = SimTask(digest=d, point=p)
-    for p in _runs(mixes, schemes, config, copies=copies):
-        d = p.digest()
-        if d not in tasks:
-            tasks[d] = SimTask(
-                digest=d, point=p, deps=_deps_for(p, profile_digests)
-            )
-    return SweepPlan(
-        tasks=tasks, demand={"grid": tuple(tasks)}, serial_residue={"grid": 0}
-    )
+    points = _profiles(mixes, config)
+    points += _runs(mixes, tuple(schemes), config, copies)
+    return _compile({"grid": points}, {"grid": 0})
 
 
 def points_plan(points, *, name: str = "sweep") -> SweepPlan:
     """Compile an explicit point list into a single-demand plan.
 
     Like :func:`grid_plan` but for arbitrary points (the surrogate
-    sweep builds its own groups rather than mix x scheme grids).
+    sweep builds its own groups rather than mix x scheme grids); the
+    demand lists the profiles first.
     """
-    profile_digests: dict[tuple[object, SimConfig], str] = {}
-    tasks: dict[str, SimTask] = {}
-    demanded: list[str] = []
-    for p in points:
-        if isinstance(p, (ProfilePoint, SurrogateProfilePoint)):
-            d = p.digest()
-            key = p.bench if isinstance(p, ProfilePoint) else p.app
-            profile_digests[(key, p.config)] = d
-            demanded.append(d)
-            if d not in tasks:
-                tasks[d] = SimTask(digest=d, point=p)
-    for p in points:
-        if isinstance(p, (ProfilePoint, SurrogateProfilePoint)):
-            continue
-        d = p.digest()
-        demanded.append(d)
-        if d not in tasks:
-            tasks[d] = SimTask(
-                digest=d, point=p, deps=_deps_for(p, profile_digests)
-            )
-    return SweepPlan(
-        tasks=tasks,
-        demand={name: tuple(dict.fromkeys(demanded))},
-        serial_residue={name: 0},
-    )
+    ordered = sorted(points, key=lambda p: not isinstance(p, _PROFILE_POINTS))
+    return _compile({name: ordered}, {name: 0})

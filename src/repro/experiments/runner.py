@@ -45,7 +45,7 @@ from repro.util.cache import SimCache, config_digest
 from repro.util.errors import ConfigurationError
 from repro.workloads.mixes import mix_core_specs
 
-__all__ = ["SchemeRun", "Runner", "NOPART", "ALL_SCHEME_NAMES"]
+__all__ = ["SchemeRun", "Runner", "NOPART", "ALL_SCHEME_NAMES", "scheduler_factory"]
 
 NOPART = "nopart"
 #: the seven schemes of the paper's evaluation, report order
@@ -58,6 +58,32 @@ ALL_SCHEME_NAMES: tuple[str, ...] = (
     "prio_apc",
     "prio_api",
 )
+
+#: the six managed schemes by name; they hold no per-call state
+_SCHEMES: dict[str, PartitioningScheme] = default_schemes()
+
+
+def scheduler_factory(
+    scheme_name: str, profiles: Workload
+) -> Callable[[int], Scheduler]:
+    """Build the enforcement mechanism for a scheme (Sec. IV-B)."""
+    if scheme_name == NOPART:
+        return lambda n: FCFSScheduler(n)
+    try:
+        scheme = _SCHEMES[scheme_name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown scheme {scheme_name!r}; available: {ALL_SCHEME_NAMES}"
+        ) from None
+    if isinstance(scheme, ShareBasedScheme):
+        beta = scheme.beta(profiles)
+        return lambda n: StartTimeFairScheduler(n, beta)
+    if isinstance(scheme, PriorityScheme):
+        order = scheme.priority_order(profiles)
+        return lambda n: PriorityScheduler(n, order)
+    raise ConfigurationError(  # pragma: no cover - defensive
+        f"scheme {scheme_name!r} has no scheduler mapping"
+    )
 
 
 @dataclass(frozen=True)
@@ -110,7 +136,6 @@ class Runner:
         self.beta_source = beta_source
         self._alone_cache: dict[str, tuple[float, float]] = {}
         self._run_cache: dict[tuple, SchemeRun] = {}
-        self.schemes: dict[str, PartitioningScheme] = default_schemes()
         #: persistent alone-profile cache (set to a disabled/diverted
         #: instance via REPRO_NO_CACHE / REPRO_CACHE_DIR)
         self.disk_cache = SimCache()
@@ -172,32 +197,6 @@ class Runner:
         return Workload.of("measured", apps)
 
     # ------------------------------------------------------------------
-    # scheme -> scheduler wiring
-    # ------------------------------------------------------------------
-    def scheduler_factory(
-        self, scheme_name: str, profiles: Workload
-    ) -> Callable[[int], Scheduler]:
-        """Build the enforcement mechanism for a scheme (Sec. IV-B)."""
-        if scheme_name == NOPART:
-            return lambda n: FCFSScheduler(n)
-        try:
-            scheme = self.schemes[scheme_name]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown scheme {scheme_name!r}; "
-                f"available: {ALL_SCHEME_NAMES}"
-            ) from None
-        if isinstance(scheme, ShareBasedScheme):
-            beta = scheme.beta(profiles)
-            return lambda n: StartTimeFairScheduler(n, beta)
-        if isinstance(scheme, PriorityScheme):
-            order = scheme.priority_order(profiles)
-            return lambda n: PriorityScheduler(n, order)
-        raise ConfigurationError(  # pragma: no cover - defensive
-            f"scheme {scheme_name!r} has no scheduler mapping"
-        )
-
-    # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
     def run(self, mix: str, scheme_name: str, *, copies: int = 1) -> SchemeRun:
@@ -224,8 +223,9 @@ class Runner:
                 )
                 apc_alone = profiles.apc_alone
 
-            factory = self.scheduler_factory(scheme_name, profiles)
-            sim = simulate(specs, factory, self.sim_config)
+            sim = simulate(
+                specs, scheduler_factory(scheme_name, profiles), self.sim_config
+            )
             run = SchemeRun(
                 mix=mix,
                 scheme=scheme_name,

@@ -14,9 +14,10 @@ show up in the Prometheus/JSON exporters alongside engine, runner and
 cache telemetry.  The ``/metrics`` JSON keeps its original field names
 -- the snapshot shape here is an API.  Both the ``endpoints`` section
 and the registry key a request by the same bounded label: its route
-(stream session ids become ``{id}``, query strings are dropped), with
-rare routes bucketed as ``other`` past a small cap, because paths are
-client controlled.
+(stream session ids become ``{id}``, query strings are dropped).  Every
+route the server answers has its own label; unknown paths are client
+controlled, so only a small cap of them get labels and the rest count
+as ``other``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,24 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.obs.registry import nearest_rank_percentile
 
-__all__ = ["EndpointStats", "ServiceMetrics"]
+__all__ = ["EndpointStats", "ServiceMetrics", "ROUTE_LABELS"]
 
-#: at most this many distinct path label values before bucketing as "other"
+#: the label of every route the server answers; never capped
+ROUTE_LABELS = frozenset({
+    "/healthz",
+    "/metrics",
+    "/v1/partition",
+    "/v1/partition/batch",
+    "/v1/qos",
+    "/v1/surrogate/reload",
+    "/v1/debug/recent",
+    "/v1/debug/slo",
+    "/v1/debug/drift",
+    "/v1/stream/open",
+    "/v1/stream/{id}",
+    "/v1/stream/{id}/counters",
+})
+#: at most this many labels for unknown paths before bucketing as "other"
 _MAX_PATH_LABELS = 16
 
 
@@ -129,10 +145,11 @@ class ServiceMetrics:
         #: per-engine solve latency ("analytic" / "surrogate" / "sim");
         #: label cardinality is bounded by the PROFILES constant
         self.solvers: dict[str, EndpointStats] = {}
-        self._path_labels: set[str] = set()
+        #: the labels handed out: every route, then unknown paths
+        self._path_labels: set[str] = set(ROUTE_LABELS)
         # Registry instruments resolved once instead of re-hashing their
-        # labels on every call: per path label (bounded by
-        # _MAX_PATH_LABELS), per solve source (bounded by PROFILES) and
+        # labels on every call: per path label (bounded by the routes
+        # plus _MAX_PATH_LABELS), per solve source (bounded by PROFILES) and
         # for the batcher, each made on first use as the registry would.
         self._path_series: dict[str, tuple[obs.Counter, obs.Histogram]] = {}
         self._solve_ms: dict[str, obs.Histogram] = {}
@@ -149,7 +166,8 @@ class ServiceMetrics:
         return stats
 
     def _path_label(self, path: str) -> str:
-        """A bounded label for ``path``: its route, rare routes -> 'other'."""
+        """A bounded label for ``path``: its route, or past the cap on
+        unknown paths, 'other'."""
         if path in self._path_labels:
             return path
         route = path.partition("?")[0]
@@ -161,7 +179,7 @@ class ServiceMetrics:
             )
         if route in self._path_labels:
             return route
-        if len(self._path_labels) < _MAX_PATH_LABELS:
+        if len(self._path_labels) < len(ROUTE_LABELS) + _MAX_PATH_LABELS:
             self._path_labels.add(route)
             return route
         return "other"

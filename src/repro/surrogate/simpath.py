@@ -70,7 +70,7 @@ def simulate_partition_request(
     service rejects non-work-conserving requests for the sim-backed
     profiles at parse time.
     """
-    from repro.experiments.runner import Runner
+    from repro.experiments.runner import scheduler_factory
 
     if not work_conserving:
         raise ConfigurationError(
@@ -119,6 +119,5 @@ def simulate_partition_request(
             for i, spec in enumerate(specs)
         ],
     )
-    factory = Runner(config).scheduler_factory(scheme, profiles)
-    sim = simulate(specs, factory, config)
+    sim = simulate(specs, scheduler_factory(scheme, profiles), config)
     return np.array([a.apc for a in sim.apps], dtype=float) / scale

@@ -179,11 +179,7 @@ def run_sweep(
     if parallel:
         from repro.experiments.dispatch import execute_plan
 
-        plan_results = execute_plan(plan, workers)
-        try:
-            results = dict(plan_results.results)
-        finally:
-            plan_results.close()
+        results = execute_plan(plan, workers).results
     else:
         results = _execute_serial(plan)
     return {

@@ -63,7 +63,7 @@ def surrogate_run_task(
     runs do; per-app shared-mode APC is the training target.
     """
     apps, scheme, config, alone_table = args
-    from repro.experiments.runner import Runner
+    from repro.experiments.runner import scheduler_factory
 
     # positional name suffixes keep duplicate archetypes distinct in
     # the simulator (same convention as mix_core_specs with copies > 1)
@@ -82,8 +82,7 @@ def surrogate_run_task(
             for s in specs
         ],
     )
-    factory = Runner(config).scheduler_factory(scheme, profiles)
-    sim = simulate(specs, factory, config)
+    sim = simulate(specs, scheduler_factory(scheme, profiles), config)
     peak = config.dram.peak_apc
     samples = []
     for i, app in enumerate(apps):

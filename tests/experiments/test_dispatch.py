@@ -8,21 +8,15 @@ assert it exactly.
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.experiments.dispatch import (
     CostModel,
     Dispatcher,
-    ShmKeeper,
     execute_plan,
-    pack_scheme_run,
-    pack_sim_result,
     profile_task,
     resolve_workers,
     run_task,
-    unpack_scheme_run,
-    unpack_sim_result,
 )
 from repro.experiments.plan import compile_plan, grid_plan
 from repro.experiments.runner import Runner
@@ -163,55 +157,6 @@ class TestCostModel:
         assert "theirs" in merged._by_digest
 
 
-class TestShmTransport:
-    def test_scheme_run_round_trip_is_exact(self):
-        runner = Runner(TINY)
-        run = runner.run("hetero-5", "equal")
-        keeper = ShmKeeper()
-        payload = pack_scheme_run(run)
-        assert payload[0] == "shm"
-        out = unpack_scheme_run(payload, keeper)
-        assert out.sim == run.sim
-        assert out.mix == run.mix and out.scheme == run.scheme
-        np.testing.assert_array_equal(out.ipc_alone, run.ipc_alone)
-        np.testing.assert_array_equal(out.apc_alone, run.apc_alone)
-        assert out.metrics == run.metrics
-        assert keeper.n_segments == 1
-        keeper.close()
-
-    def test_sim_result_round_trip_is_exact(self):
-        from repro.experiments.extension import HEURISTIC_FACTORIES
-        from repro.sim.engine import simulate
-        from repro.workloads.mixes import mix_core_specs
-
-        sim = simulate(
-            mix_core_specs("hetero-5"), HEURISTIC_FACTORIES["parbs"], TINY
-        )
-        keeper = ShmKeeper()
-        out = unpack_sim_result(pack_sim_result(sim), keeper)
-        assert out == sim
-        keeper.close()
-
-    def test_no_shm_env_falls_back_to_pickle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        runner = Runner(TINY)
-        run = runner.run("hetero-5", "equal")
-        payload = pack_scheme_run(run)
-        assert payload[0] == "pickle"
-        assert unpack_scheme_run(payload, ShmKeeper()) is run
-
-    def test_views_survive_keeper_close(self):
-        """Results scattered out of a closed keeper must stay readable
-        (the regression that segfaults if mappings are torn down)."""
-        runner = Runner(TINY)
-        run = runner.run("hetero-5", "equal")
-        keeper = ShmKeeper()
-        out = unpack_scheme_run(pack_scheme_run(run), keeper)
-        keeper.close()
-        np.testing.assert_array_equal(out.ipc_alone, run.ipc_alone)
-        assert out.sim == run.sim
-
-
 class TestExecution:
     def test_grid_identity_exact(self, dispatcher):
         """Plan-executed grid == serial Runner grid, field for field."""
@@ -230,6 +175,7 @@ class TestExecution:
             assert list(got.apc_alone) == list(want.apc_alone)
             assert got.metrics == want.metrics
         assert stats.n_tasks == len(plan.tasks)
+        assert set(stats.task_s) == set(plan.tasks)
 
     def test_profiles_complete_before_dependent_runs(self, dispatcher):
         plan = grid_plan(("hetero-5", "homo-1"), ("nopart",), TINY)
@@ -271,6 +217,20 @@ class TestExecution:
         _, stats = dispatcher.execute(plan)
         n_runs = sum(1 for t in plan.tasks.values() if t.kind == "run")
         assert stats.n_steals == n_runs
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_parent_holds_no_fd_per_result(self, dispatcher):
+        """Results come back by value: repeated executions on one pool
+        leave the parent's open-descriptor count flat."""
+        plan = grid_plan(("hetero-5",), ("nopart", "equal"), TINY)
+        counts = []
+        for _ in range(4):
+            _, stats = dispatcher.execute(plan)
+            counts.append(len(os.listdir("/proc/self/fd")))
+        assert counts[1:] == [counts[0]] * 3, counts
+        assert stats.n_shm_segments == 0
 
 
 class TestTelemetry:
@@ -321,35 +281,29 @@ class TestExecutePlan:
             ("figure1", "table3"), config_factory=tiny_factory
         )
         results = execute_plan(plan, max_workers=2)
-        try:
-            warmed = results.runner(TINY)
-            serial = Runner(TINY)
-            # figure1's grid out of the warmed runner: exact equality
-            run_w = warmed.run("hetero-5", "equal")
-            run_s = serial.run("hetero-5", "equal")
-            assert run_w.sim == run_s.sim
-            assert run_w.metrics == run_s.metrics
-            # profiles warmed too: table3's benchmarks resolve without
-            # new simulations (alone cache already has the digest)
-            from repro.workloads.spec import benchmark
+        warmed = results.runner(TINY)
+        serial = Runner(TINY)
+        # figure1's grid out of the warmed runner: exact equality
+        run_w = warmed.run("hetero-5", "equal")
+        run_s = serial.run("hetero-5", "equal")
+        assert run_w.sim == run_s.sim
+        assert run_w.metrics == run_s.metrics
+        # profiles warmed too: table3's benchmarks resolve without
+        # new simulations (alone cache already has the digest)
+        from repro.workloads.spec import benchmark
 
-            spec = benchmark("gobmk").core_spec()
-            assert warmed._alone_key(spec) in warmed._alone_cache
-        finally:
-            results.close()
+        spec = benchmark("gobmk").core_spec()
+        assert warmed._alone_key(spec) in warmed._alone_cache
 
     def test_heuristic_sims_scattered(self):
         plan = compile_plan(("extension",), config_factory=tiny_factory)
         results = execute_plan(plan, max_workers=2)
-        try:
-            sims = results.heuristic_sims(TINY)
-            assert sims  # parbs/tcm on the hetero mixes
-            for (mix, sched, copies), sim in sims.items():
-                assert sched in ("parbs", "tcm")
-                assert copies == 1
-                assert sim.total_apc > 0
-        finally:
-            results.close()
+        sims = results.heuristic_sims(TINY)
+        assert sims  # parbs/tcm on the hetero mixes
+        for (mix, sched, copies), sim in sims.items():
+            assert sched in ("parbs", "tcm")
+            assert copies == 1
+            assert sim.total_apc > 0
 
     def test_exhibit_output_identity_figure1(self):
         """End to end: the rendered figure1 text from a plan-warmed
@@ -358,9 +312,6 @@ class TestExecutePlan:
 
         plan = compile_plan(("figure1",), config_factory=tiny_factory)
         results = execute_plan(plan, max_workers=2)
-        try:
-            planned_text = figure1.render(figure1.run(results.runner(TINY)))
-        finally:
-            results.close()
+        planned_text = figure1.render(figure1.run(results.runner(TINY)))
         serial_text = figure1.render(figure1.run(Runner(TINY)))
         assert planned_text == serial_text

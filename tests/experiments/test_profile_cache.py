@@ -85,7 +85,6 @@ def test_parallel_profiling_uses_the_shared_cache():
     results = execute_plan(
         grid_plan(("hetero-5",), ("nopart",), _QUICK), max_workers=2
     )
-    results.close()
     assert results.stats.n_tasks > 0
 
     # the serial Runner reads the entries the dispatcher wrote (shared

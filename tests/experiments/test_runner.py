@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.experiments.runner import ALL_SCHEME_NAMES, NOPART, Runner
+from repro.experiments.runner import (
+    ALL_SCHEME_NAMES,
+    NOPART,
+    Runner,
+    scheduler_factory,
+)
 from repro.sim.engine import SimConfig
 from repro.sim.mc.fcfs import FCFSScheduler
 from repro.sim.mc.priority import PriorityScheduler
@@ -15,21 +20,21 @@ from repro.workloads.mixes import mix_core_specs
 class TestSchedulerWiring:
     def test_nopart_is_fcfs(self, runner):
         specs = mix_core_specs("hetero-5")
-        factory = runner.scheduler_factory(NOPART, runner.profiles(specs))
+        factory = scheduler_factory(NOPART, runner.profiles(specs))
         assert isinstance(factory(4), FCFSScheduler)
 
     def test_share_schemes_use_stf(self, runner):
         specs = mix_core_specs("hetero-5")
         profiles = runner.profiles(specs)
         for name in ("equal", "prop", "sqrt", "twothirds"):
-            sched = runner.scheduler_factory(name, profiles)(4)
+            sched = scheduler_factory(name, profiles)(4)
             assert isinstance(sched, StartTimeFairScheduler), name
             assert sched.beta.sum() == pytest.approx(1.0)
 
     def test_priority_schemes_use_priority_scheduler(self, runner):
         specs = mix_core_specs("hetero-5")
         profiles = runner.profiles(specs)
-        sched = runner.scheduler_factory("prio_apc", profiles)(4)
+        sched = scheduler_factory("prio_apc", profiles)(4)
         assert isinstance(sched, PriorityScheduler)
         # lowest measured APC_alone first
         assert sched.priority_order[0] == int(np.argmin(profiles.apc_alone))
@@ -37,7 +42,7 @@ class TestSchedulerWiring:
     def test_unknown_scheme(self, runner):
         specs = mix_core_specs("hetero-5")
         with pytest.raises(ConfigurationError):
-            runner.scheduler_factory("bogus", runner.profiles(specs))
+            scheduler_factory("bogus", runner.profiles(specs))
 
 
 class TestProfiling:

@@ -181,9 +181,70 @@ def test_endpoints_section_is_keyed_by_bounded_route_labels():
     assert endpoints["/v1/debug/recent"]["requests"] == 1
     assert not [p for p in endpoints if "?" in p]
     assert not [p for p in endpoints for sid in sessions if sid in p]
-    # 16 labels at most, then everything else is "other"
-    assert len(endpoints) <= 17
+    # 16 labels at most for unknown paths, then everything else is "other"
+    from repro.service.metrics import ROUTE_LABELS
+
+    assert len([p for p in endpoints if p not in ROUTE_LABELS]) <= 17
     assert endpoints["other"]["requests"] >= 40 - 16
+
+
+def test_every_route_keeps_its_label_past_the_unknown_path_cap():
+    """Unknown paths take their 16 labels first; every route the server
+    answers still counts under its own label, never as ``other``."""
+    routes = {
+        "/healthz": 1,
+        "/metrics": 1,
+        "/v1/partition": 1,
+        "/v1/partition/batch": 1,
+        "/v1/qos": 1,
+        "/v1/surrogate/reload": 1,
+        "/v1/debug/recent": 1,
+        "/v1/debug/slo": 1,
+        "/v1/debug/drift": 1,
+        "/v1/stream/open": 1,
+        "/v1/stream/{id}": 2,
+        "/v1/stream/{id}/counters": 1,
+    }
+
+    async def scenario(service, client):
+        for i in range(16):
+            with pytest.raises(ServiceError):
+                await client._request("GET", f"/scan{i}")
+        await client.healthz()
+        await client.metrics()
+        await client.partition(APC, 0.01, api=API)
+        await client.partition_batch(
+            [{"apc_alone": APC, "bandwidth": 0.01, "api": API}]
+        )
+        await client.qos(APC, API, 0.01, [(0, 0.1)])
+        try:
+            await client._request("POST", "/v1/surrogate/reload")
+        except ServiceError:
+            pass  # no artifact configured: an error still has a route
+        for section in ("recent", "slo", "drift"):
+            await client.debug(section)
+        sid = (await client.stream_open(API, 0.01, apc_alone=APC))["session"]
+        await client.stream_push(sid, 1_000_000.0, [4000, 7000, 2000])
+        await client.stream_info(sid)
+        await client.stream_close(sid)
+        return await client.metrics()
+
+    body = run_with_service(scenario)
+    endpoints = body["endpoints"]
+    series = {
+        s["labels"]["path"]: s["value"]
+        for s in body["obs"]["service.requests"]["series"]
+    }
+    for route, n in routes.items():
+        assert endpoints.get(route, {}).get("requests") == n, route
+        assert series.get(route) == float(n), route
+    scans = {f"/scan{i}" for i in range(16)}
+    assert set(endpoints) - set(routes) == scans
+    assert set(series) - set(routes) == scans
+
+    from repro.service.metrics import ROUTE_LABELS
+
+    assert ROUTE_LABELS == set(routes)
 
 
 # ----------------------------------------------------------------------
