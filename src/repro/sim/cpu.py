@@ -217,9 +217,9 @@ class CoreSim:
         if not self.running:
             raise SimulationError(f"core {self.core_id} generated access while stalled")
         # the gap that just finished retires its instructions in full
+        # (the next gap, drawn below or at resume, overwrites the gap
+        # fields; a stalled core's instructions_at reads only _instr)
         self._instr += self._gap_instr
-        self._gap_instr = 0.0
-        self._gap_cycles = 0.0
 
         is_write = (self._raw() >> 11) * _UNIT < self._wf
         # the stream hands back decoded coordinates alongside the

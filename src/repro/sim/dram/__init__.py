@@ -2,7 +2,7 @@
 
 from repro.sim.dram.address import AddressMapper, DecodedAddress
 from repro.sim.dram.bank import Bank
-from repro.sim.dram.channel import Channel, IssueResult
+from repro.sim.dram.channel import Channel
 from repro.sim.dram.config import (
     DRAMConfig,
     ddr2_400,
@@ -18,7 +18,6 @@ __all__ = [
     "DecodedAddress",
     "Bank",
     "Channel",
-    "IssueResult",
     "DRAMConfig",
     "ddr2_400",
     "ddr2_800",

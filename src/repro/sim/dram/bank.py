@@ -28,7 +28,6 @@ class Bank:
     n_activates: int = 0
     n_row_hits: int = 0
     n_accesses: int = 0
-    busy_cycles: float = 0.0
 
     def is_row_hit(self, row: int) -> bool:
         return self.open_row is not None and self.open_row == row

@@ -22,33 +22,12 @@ the bank-conflict effects that matter for partitioning behaviour.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from repro.sim.dram.bank import Bank
 from repro.sim.dram.config import DRAMConfig
 from repro.sim.request import Request
 from repro.util.errors import SimulationError
 
-__all__ = ["Channel", "IssueResult"]
-
-
-class IssueResult(NamedTuple):
-    """Timing outcome of committing one request to the channel.
-
-    A NamedTuple rather than a frozen dataclass: one is built per data
-    burst and frozen-dataclass construction (``object.__setattr__`` per
-    field) showed up in the event-loop profile.  :meth:`Channel.issue`
-    builds it with ``tuple.__new__`` directly, skipping the generated
-    ``__new__``'s Python frame.
-    """
-
-    data_start: float
-    data_end: float
-    bank_ready: float
-    row_hit: bool
-
-
-_new_tuple = tuple.__new__
+__all__ = ["Channel"]
 
 
 class Channel:
@@ -184,8 +163,9 @@ class Channel:
         return self.banks[bank_index].is_row_hit(row)
 
     # ------------------------------------------------------------------
-    def issue(self, request: Request, now: float) -> IssueResult:
-        """Commit one request; advance bank and bus state.
+    def issue(self, request: Request, now: float) -> float:
+        """Commit one request; advance bank and bus state; return the
+        cycle its data transfer ends (the new ``bus_free``).
 
         Raises :class:`SimulationError` on protocol violations (issuing
         into the past), which would indicate an engine bug.
@@ -194,11 +174,11 @@ class Channel:
             raise SimulationError(f"issue at negative cycle {now}")
         bank = self.banks[request.bank]
         is_write = request.is_write
-        if self._close_page:
+        close_page = self._close_page
+        if close_page:
             # _command_timing's close-page case, inlined
             ready = bank.ready_time
             earliest_data = (now if now > ready else ready) + self._act_to_data
-            activated, row_hit = True, False
         else:
             earliest_data, activated, row_hit = self._command_timing(
                 bank, request.row, now
@@ -220,9 +200,10 @@ class Channel:
             raise SimulationError("data bus double-booked")
 
         recovery = self._twr if is_write else 0.0
-        if self._close_page:
+        if close_page:
+            # auto-precharge: the row never stays open
             bank.ready_time = data_end + recovery + self._trp
-            bank.open_row = None
+            bank.n_activates += 1
         else:
             # Row remains open.  Column commands to an open row pipeline:
             # the next CAS may issue while this burst is still on the bus,
@@ -231,20 +212,16 @@ class Channel:
             # bank accepts anything else.
             bank.ready_time = max(data_start, data_end + recovery - self._cl)
             bank.open_row = request.row
-
+            if activated:
+                bank.n_activates += 1
+            if row_hit:
+                bank.n_row_hits += 1
         bank.n_accesses += 1
-        if activated:
-            bank.n_activates += 1
-        if row_hit:
-            bank.n_row_hits += 1
-        bank.busy_cycles += data_end - data_start
         self.bus_free = data_end
         self.bus_busy_cycles += self._burst
         self.n_served += 1
         self._last_was_write = is_write
-        return _new_tuple(
-            IssueResult, (data_start, data_end, bank.ready_time, row_hit)
-        )
+        return data_end
 
     # ------------------------------------------------------------------
     def utilization(self, window_cycles: float) -> float:

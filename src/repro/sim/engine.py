@@ -255,6 +255,7 @@ class Engine:
         chan_filter: int | None = None
         banks = channel.banks
         chan_ready_by = channel.bank_ready_by
+        issue = channel.issue
         pump_now = deadline = limit = 0.0
         memo: dict = {}
         if open_page:
@@ -326,15 +327,16 @@ class Engine:
                     channel = channels[payload]
                     banks = channel.banks
                     chan_ready_by = channel.bank_ready_by
+                    issue = channel.issue
                 pump_now = now
                 horizon = now + lookahead + 1e-9
+                bus_free = channel.bus_free
                 while True:
                     if chan_filter is None:
                         if not scheduler.total_queued:
                             break
                     elif not scheduler.has_pending(chan_filter):
                         break
-                    bus_free = channel.bus_free
                     if bus_free > horizon:
                         pump_scheduled[payload] = True
                         seq += 1
@@ -347,10 +349,8 @@ class Engine:
                     req = select(now, bank_ready, chan_filter)
                     if req is None:  # pragma: no cover - defensive
                         break
-                    channel.issue(req, now)
-                    data_end = channel.bus_free
-                    req.issued = now
-                    completed = req.completed = data_end + mc_cycles
+                    # the transfer's end is the channel's new bus_free
+                    bus_free = data_end = issue(req, now)
                     # others' queued requests were blocked for the bus
                     # time this request consumed (burst plus any bank
                     # wait); the queues still hold the set select saw
@@ -369,7 +369,7 @@ class Engine:
                             if q and a != rid:
                                 interf[a] += span
                     seq += 1
-                    heappush(heap, (completed, _P_COMPLETE, seq, req))
+                    heappush(heap, (data_end + mc_cycles, _P_COMPLETE, seq, req))
             elif prio == _P_EPOCH:
                 self._seq = seq
                 self._handle_epoch(now)

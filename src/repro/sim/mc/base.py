@@ -24,7 +24,9 @@ queues by the first per-channel question and maintained incrementally
 in :meth:`enqueue`/:meth:`_take` after that, so a one-channel run --
 which only ever asks with ``channel=None`` -- never pays for them.  A
 request's ``channel`` must therefore be final before it is enqueued
-(the cores decode addresses at request creation).
+(the cores decode addresses at request creation).  With no index
+built, the one-channel STF and priority selects take a ready head
+straight off its deque instead of calling :meth:`_take`.
 """
 
 from __future__ import annotations
@@ -45,6 +47,32 @@ _ChannelIndex = tuple[list[dict[int, int]], dict[int, int]]
 
 def _always_ready(_req: Request) -> bool:
     return True
+
+
+def _oldest_passing(
+    queue: Deque[Request], channel: int | None, ok: ReadyProbe
+) -> Request | None:
+    """The oldest request of ``queue`` -- least ``(enqueued, seq)`` --
+    that targets ``channel`` (any when None) and passes ``ok``, or None.
+
+    Queue order is age order unless a caller enqueued out of time
+    order, so ``ok`` is asked only about requests older than the best
+    found so far: in an age-ordered queue, the scan probes up to the
+    first passing request and then only compares ages.
+    """
+    best = None
+    best_age = 0.0
+    for req in queue:
+        if channel is not None and req.channel != channel:
+            continue
+        if best is not None:
+            age = req.enqueued
+            if age > best_age or (age == best_age and req.seq >= best.seq):
+                continue
+        if ok(req):
+            best = req
+            best_age = req.enqueued
+    return best
 
 
 class Scheduler(ABC):
@@ -140,10 +168,6 @@ class Scheduler(ABC):
         """
 
     # -- helpers for subclasses ----------------------------------------
-    @staticmethod
-    def _in_channel(req: Request, channel: int | None) -> bool:
-        return channel is None or req.channel == channel
-
     def _requests(self, app_id: int, channel: int | None) -> Iterator[Request]:
         """App's queued requests, oldest first, filtered by channel."""
         if channel is None:

@@ -20,7 +20,7 @@ derived optimum on every metric (see the extension experiment).
 
 from __future__ import annotations
 
-from repro.sim.mc.base import ReadyProbe, Scheduler, _always_ready
+from repro.sim.mc.base import ReadyProbe, Scheduler, _always_ready, _oldest_passing
 from repro.sim.request import Request
 from repro.util.errors import ConfigurationError
 
@@ -46,10 +46,12 @@ class PARBSScheduler(Scheduler):
         if marking_cap < 1:
             raise ConfigurationError("marking_cap must be >= 1")
         self.marking_cap = marking_cap
-        #: request seqs in the current batch
+        #: seqs of the current batch's requests still queued (select
+        #: discards each one it serves, so empty = batch done)
         self._batch: set[int] = set()
-        #: app rank for the current batch (lower = served first)
-        self._rank: list[int] = list(range(n_apps))
+        #: app ids by rank for the current batch, the app served first
+        #: first; rebuilt when a batch forms
+        self._order: list[int] = list(range(n_apps))
         self.n_batches = 0
 
     # ------------------------------------------------------------------
@@ -62,19 +64,8 @@ class PARBSScheduler(Scheduler):
             for req in list(q)[: self.marking_cap]:
                 self._batch.add(req.seq)
                 counts[app_id] += 1
-        order = sorted(range(self.n_apps), key=lambda a: (counts[a], a))
-        self._rank = [0] * self.n_apps
-        for pos, app in enumerate(order):
-            self._rank[app] = pos
+        self._order = sorted(range(self.n_apps), key=lambda a: (counts[a], a))
         self.n_batches += 1
-
-    def _batch_pending(self, channel: int | None) -> bool:
-        return any(
-            req.seq in self._batch
-            for q in self.queues
-            for req in q
-            if self._in_channel(req, channel)
-        )
 
     # ------------------------------------------------------------------
     def select(
@@ -83,31 +74,32 @@ class PARBSScheduler(Scheduler):
         ready: ReadyProbe = _always_ready,
         channel: int | None = None,
     ) -> Request | None:
+        """Serve the least ``(not marked, rank, enqueued, seq)`` ready
+        request, else the least of all: marked ready requests in rank
+        order, then unmarked ready ones, then marked and any requests,
+        each pass stopping at the first app that has one."""
         if not self.has_pending(channel):
             return None
-        if not self._batch_pending(None):
+        batch = self._batch
+        if not batch:
             self._form_batch()
 
-        def candidates(only_ready: bool):
-            best: Request | None = None
-            best_key = None
-            for app_id in range(self.n_apps):
-                for req in self._requests(app_id, channel):
-                    if only_ready and not ready(req):
-                        continue
-                    marked = req.seq in self._batch
-                    key = (
-                        not marked,  # batch first (starvation freedom)
-                        self._rank[app_id],  # SJF rank within batch
-                        req.enqueued,
-                        req.seq,
-                    )
-                    if best_key is None or key < best_key:
-                        best, best_key = req, key
-            return best
+        def marked_ready(req: Request) -> bool:
+            return req.seq in batch and ready(req)
 
-        chosen = candidates(only_ready=True) or candidates(only_ready=False)
-        if chosen is None:
-            return None
-        self._batch.discard(chosen.seq)
-        return self._take(chosen)
+        def unmarked_ready(req: Request) -> bool:
+            # reached only when no marked request on the channel is
+            # ready, so those are not probed again
+            return req.seq not in batch and ready(req)
+
+        def marked(req: Request) -> bool:
+            return req.seq in batch
+
+        queues = self.queues
+        for ok in (marked_ready, unmarked_ready, marked, _always_ready):
+            for app_id in self._order:
+                chosen = _oldest_passing(queues[app_id], channel, ok)
+                if chosen is not None:
+                    batch.discard(chosen.seq)
+                    return self._take(chosen)
+        return None  # pragma: no cover - has_pending guarantees a request

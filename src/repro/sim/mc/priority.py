@@ -88,6 +88,10 @@ class PriorityScheduler(Scheduler):
                         top = q
                     for req in q:
                         if ready(req):
+                            if req is q[0] and self._chan_index is None:
+                                self.total_queued -= 1  # head-take, no index
+                                self.n_served += 1
+                                return q.popleft()
                             return self._take(req)
             # nothing bank-ready: highest-priority head eats the bank stall
             return None if top is None else self._take(top[0])

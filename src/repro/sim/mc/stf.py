@@ -125,6 +125,10 @@ class StartTimeFairScheduler(Scheduler):
                     for req in q:
                         if ready(req):
                             self._advance_tag(app_id)
+                            if req is q[0] and self._chan_index is None:
+                                self.total_queued -= 1  # head-take, no index
+                                self.n_served += 1
+                                return q.popleft()
                             return self._take(req)
             if first is None:
                 return None

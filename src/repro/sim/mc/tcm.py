@@ -17,7 +17,7 @@ last epoch in place of MPKI counters.
 
 from __future__ import annotations
 
-from repro.sim.mc.base import ReadyProbe, Scheduler, _always_ready
+from repro.sim.mc.base import ReadyProbe, Scheduler, _always_ready, _oldest_passing
 from repro.sim.request import Request
 from repro.util.errors import ConfigurationError
 
@@ -60,8 +60,9 @@ class TCMScheduler(Scheduler):
         self._shuffle_offset = 0
         #: latency-sensitive cluster membership
         self.latency_cluster: set[int] = set(range(n_apps))
-        #: rank within the system (lower served first)
-        self._rank = list(range(n_apps))
+        #: app ids by rank, the app served first first; rebuilt at each
+        #: recluster
+        self._order = list(range(n_apps))
         self.n_reclusters = 0
 
     # ------------------------------------------------------------------
@@ -92,10 +93,7 @@ class TCMScheduler(Scheduler):
         if bandwidth:
             k = self._shuffle_offset % len(bandwidth)
             bandwidth = bandwidth[k:] + bandwidth[:k]
-        ranked = [a for a in order if a in self.latency_cluster] + bandwidth
-        self._rank = [0] * self.n_apps
-        for pos, app in enumerate(ranked):
-            self._rank[app] = pos
+        self._order = [a for a in order if a in self.latency_cluster] + bandwidth
         self._arrivals_epoch = [0] * self.n_apps
         self._since_recluster = 0
         self.n_reclusters += 1
@@ -107,23 +105,16 @@ class TCMScheduler(Scheduler):
         ready: ReadyProbe = _always_ready,
         channel: int | None = None,
     ) -> Request | None:
+        """Serve the least ``(rank, enqueued, seq)`` ready request, else
+        the least of all: apps in rank order, stopping at the first app
+        that has one."""
         if self._since_recluster >= self.epoch_requests:
             self._recluster()
-
-        def candidates(only_ready: bool):
-            best: Request | None = None
-            best_key = None
-            for app_id in range(self.n_apps):
-                for req in self._requests(app_id, channel):
-                    if only_ready and not ready(req):
-                        continue
-                    key = (self._rank[app_id], req.enqueued, req.seq)
-                    if best_key is None or key < best_key:
-                        best, best_key = req, key
-            return best
-
-        chosen = candidates(only_ready=True) or candidates(only_ready=False)
-        if chosen is None:
-            return None
-        self._since_recluster += 1
-        return self._take(chosen)
+        queues = self.queues
+        for ok in (ready, _always_ready):
+            for app_id in self._order:
+                chosen = _oldest_passing(queues[app_id], channel, ok)
+                if chosen is not None:
+                    self._since_recluster += 1
+                    return self._take(chosen)
+        return None

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 __all__ = ["Request"]
 
@@ -11,49 +10,45 @@ _seq_counter = itertools.count()
 _next_seq = _seq_counter.__next__
 
 
-@dataclass(eq=False, slots=True)
 class Request:
     """One off-chip memory access (a last-level-cache miss or writeback).
 
     Timestamps are CPU cycles; ``-1`` means "not yet".  ``seq`` is a
     global monotonically increasing tiebreaker so scheduler decisions are
-    fully deterministic.
+    fully deterministic.  Issue and completion are not stamped: the
+    completion cycle travels in the engine's COMPLETE event, and
+    latency is accumulated per application there.
 
-    ``__slots__`` keeps the per-event allocation cost down: the engine
-    creates one Request per off-chip access, and attribute access on the
-    scheduler hot paths is measurably faster without a ``__dict__``.
-    Equality is identity (``eq=False``): every request is unique (seq),
-    and queue removal must not pay a field-by-field comparison per
-    element scanned.
+    The engine creates one Request per off-chip access, so it is a plain
+    ``__slots__`` class with a hand-written ``__init__`` (cheaper than a
+    dataclass's, and no ``__dict__`` on the scheduler hot paths).
+    Equality is identity: every request is unique (seq), and queue
+    removal must not pay a field-by-field comparison per element.
     """
 
-    app_id: int
-    line_addr: int
-    is_write: bool
-    created: float
-    #: decoded DRAM coordinates, filled in at creation (cores) or by the
-    #: controller's :meth:`repro.sim.dram.system.DRAMSystem.decode`
-    channel: int = 0
-    bank: int = 0
-    row: int = 0
-    #: cycle the request entered the controller queue
-    enqueued: float = -1.0
-    #: cycle the controller issued it to DRAM
-    issued: float = -1.0
-    #: cycle the data transfer completed
-    completed: float = -1.0
-    seq: int = field(default_factory=_next_seq)
+    __slots__ = ("app_id", "line_addr", "is_write", "created", "channel",
+                 "bank", "row", "enqueued", "seq")
 
-    @property
-    def queue_delay(self) -> float:
-        """Cycles spent waiting in the controller queue."""
-        if self.issued < 0 or self.enqueued < 0:
-            return 0.0
-        return self.issued - self.enqueued
+    def __init__(
+        self,
+        app_id: int,
+        line_addr: int,
+        is_write: bool,
+        created: float,
+        channel: int = 0,
+        bank: int = 0,
+        row: int = 0,
+    ) -> None:
+        self.app_id = app_id
+        self.line_addr = line_addr
+        self.is_write = is_write
+        self.created = created
+        #: decoded DRAM coordinates, filled in at creation by the core
+        #: (the stream hands them back with the address)
+        self.channel = channel
+        self.bank = bank
+        self.row = row
+        #: cycle the request entered the controller queue
+        self.enqueued = -1.0
+        self.seq = _next_seq()
 
-    @property
-    def latency(self) -> float:
-        """Total cycles from creation to data completion."""
-        if self.completed < 0:
-            return 0.0
-        return self.completed - self.created

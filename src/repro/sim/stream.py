@@ -35,9 +35,13 @@ order, which reproduces numpy's own recipes bit for bit:
   multiply-shift, which for a power-of-two bound reduces to
   ``u32 >> (32 - k)`` with no rejection; a bound of 1 consumes nothing.
 
-The draw is inlined into :meth:`MissAddressStream.next_access`, so an
-access costs no Generator call.  Reading ahead is invisible: nothing
-else draws from a stream's generator.  The sequence is asserted against
+The draws run in one local-variable loop,
+:meth:`MissAddressStream._generate`, which generates ``_AHEAD``
+accesses per call (no Generator call, and no attribute traffic per
+access); :meth:`MissAddressStream.next_access` pops them.  Reading
+ahead is invisible: nothing else draws from a stream's generator, and
+``current`` reports the last access *returned*, not the last one
+generated.  The sequence is asserted against
 a pre-change golden in ``tests/sim/test_stream_golden.py`` and
 property-tested there against a fresh ``Generator``'s ``integers`` and
 ``random``.  Non-power-of-two bounds fall back to one vectorized
@@ -61,6 +65,8 @@ __all__ = ["StreamSpec", "MissAddressStream"]
 
 #: raw 64-bit words fetched per ``random_raw`` call (power-of-two path)
 _BLOCK = 256
+#: accesses generated per refill of a stream's read-ahead block
+_AHEAD = 64
 #: ``Generator.random()`` maps the top 53 bits of a word onto [0, 1)
 _UNIT = 2.0**-53
 
@@ -115,7 +121,9 @@ class MissAddressStream:
         "row_base",
         "row_span",
         "_last",
+        "_frontier",
         "_col",
+        "_ahead",
         "_bank_set",
         "_bounds",
         "_g",
@@ -146,10 +154,14 @@ class MissAddressStream:
         per_app = max(spec.footprint_rows, 1)
         self.row_base = (app_slot * per_app) % max(rows_total - per_app, 1)
         self.row_span = min(per_app, rows_total - self.row_base)
-        #: the last access as returned -- (line_addr, channel, flat bank,
-        #: row) -- and its column; None before the first access
+        #: the last access returned -- (line_addr, channel, flat bank,
+        #: row); None before the first access
         self._last: tuple[int, int, int, int] | None = None
+        #: the last access generated, and its column (the draw state)
+        self._frontier: tuple[int, int, int, int] | None = None
         self._col = 0
+        #: generated but not yet returned accesses, next one last
+        self._ahead: list[tuple[int, int, int, int]] = []
         if spec.bank_set is not None:
             banks_per_channel = config.n_ranks * config.n_banks
             if any(b >= banks_per_channel for b in spec.bank_set):
@@ -224,7 +236,7 @@ class MissAddressStream:
 
     def _uniform(self) -> float:
         """One row-locality uniform on the power-of-two path, as
-        :meth:`next_access` draws it inline: ``Generator.random()``."""
+        :meth:`_generate` draws it inline: ``Generator.random()``."""
         words = self._words or self._refill()
         return (words.pop() >> 11) * _UNIT
 
@@ -234,58 +246,86 @@ class MissAddressStream:
         The flat bank index is rank-major within the channel, matching
         :meth:`repro.sim.dram.address.AddressMapper.bank_index`, so the
         result can be stamped straight onto a request without a decode
-        round-trip.
+        round-trip.  Accesses are generated ``_AHEAD`` at a time by
+        :meth:`_generate`; this pops the next one.
+        """
+        ahead = self._ahead
+        if not ahead:
+            ahead = self._generate()
+        last = self._last = ahead.pop()
+        return last
+
+    def _generate(self) -> list[tuple[int, int, int, int]]:
+        """Generate the next ``_AHEAD`` accesses, next one last.
+
+        Each access draws exactly what it drew one at a time: a
+        row-locality uniform (after the first access), and a location
+        when it leaves the row.  The frontier -- the last access
+        generated and its column -- carries over between blocks.
         """
         words = self._words
-        last = self._last
-        if last is not None:
-            if words is None:
-                u = self._g.random()
-            else:
-                if not words:
-                    words = self._refill()
-                u = (words.pop() >> 11) * _UNIT
-            if u < self._locality and self._col < self._last_col:
-                # next column of the same row: only the col field moves
-                self._col += 1
-                last = (last[0] + self._col_step, last[1], last[2], last[3])
-                self._last = last
-                return last
+        g = self._g
+        last = self._frontier
+        col = self._col
+        locality = self._locality
+        last_col = self._last_col
+        col_step = self._col_step
         bank_set = self._bank_set
-        if words is None:
-            vals = self._g.integers(0, self._bounds).tolist()
-        else:
+        n_banks = self._n_banks
+        row_base = self.row_base
+        ch_s, rank_s, bank_s, row_s, col_s = self._layout
+        if words is not None:
             halves = self._halves
             n_u32 = self._n_u32
-            while len(halves) < n_u32:
-                if not words:
-                    words = self._refill()
-                w = words.pop()
-                halves += (w & 0xFFFFFFFF, w >> 32)
-            if bank_set is None:  # no comprehension: a call on 3.11
-                (j0, s0), (j1, s1), (j2, s2), (j3, s3), (j4, s4) = self._plan
-                vals = [halves[j0] >> s0, halves[j1] >> s1, halves[j2] >> s2,
-                        halves[j3] >> s3, halves[j4] >> s4]
+            plan = self._plan
+        # filled from the back: the next access is last, so pop() takes it
+        out: list = [None] * _AHEAD
+        for i in range(_AHEAD - 1, -1, -1):
+            if last is not None:
+                if words is None:
+                    u = g.random()
+                else:
+                    if not words:
+                        words = self._refill()
+                    u = (words.pop() >> 11) * _UNIT
+                if u < locality and col < last_col:
+                    # next column of the same row: only the col field moves
+                    col += 1
+                    last = out[i] = (last[0] + col_step, last[1], last[2], last[3])
+                    continue
+            if words is None:
+                vals = g.integers(0, self._bounds).tolist()
             else:
-                vals = [halves[j] >> s for j, s in self._plan]
-            del halves[:n_u32]
-        if bank_set is None:
-            rank, bank, channel, row_off, col = vals
-        else:
-            slot, channel, row_off, col = vals
-            rank, bank = divmod(bank_set[slot], self._n_banks)
-        row = self.row_base + row_off
-        ch_s, rank_s, bank_s, row_s, col_s = self._layout
-        addr = (
-            (channel << ch_s)
-            | (rank << rank_s)
-            | (bank << bank_s)
-            | (row << row_s)
-            | (col << col_s)
-        )
+                while len(halves) < n_u32:
+                    if not words:
+                        words = self._refill()
+                    w = words.pop()
+                    halves += (w & 0xFFFFFFFF, w >> 32)
+                if bank_set is None:  # no comprehension: a call on 3.11
+                    (j0, s0), (j1, s1), (j2, s2), (j3, s3), (j4, s4) = plan
+                    vals = [halves[j0] >> s0, halves[j1] >> s1, halves[j2] >> s2,
+                            halves[j3] >> s3, halves[j4] >> s4]
+                else:
+                    vals = [halves[j] >> s for j, s in plan]
+                del halves[:n_u32]
+            if bank_set is None:
+                rank, bank, channel, row_off, col = vals
+            else:
+                slot, channel, row_off, col = vals
+                rank, bank = divmod(bank_set[slot], n_banks)
+            row = row_base + row_off
+            addr = (
+                (channel << ch_s)
+                | (rank << rank_s)
+                | (bank << bank_s)
+                | (row << row_s)
+                | (col << col_s)
+            )
+            last = out[i] = (addr, channel, rank * n_banks + bank, row)
+        self._frontier = last
         self._col = col
-        last = self._last = (addr, channel, rank * self._n_banks + bank, row)
-        return last
+        self._ahead = out
+        return out
 
     def next_address(self) -> int:
         """Produce the next line address of the stream."""
@@ -293,11 +333,9 @@ class MissAddressStream:
 
     @property
     def current(self) -> DecodedAddress | None:
-        """The coordinates of the most recent access (None before any)."""
+        """The coordinates of the most recently *returned* access (None
+        before any); the generation frontier runs up to ``_AHEAD``
+        accesses further."""
         if self._last is None:
             return None
-        _addr, channel, flat_bank, row = self._last
-        rank, bank = divmod(flat_bank, self._n_banks)
-        return DecodedAddress(
-            channel=channel, rank=rank, bank=bank, row=row, col=self._col
-        )
+        return self.mapper.decode(self._last[0])

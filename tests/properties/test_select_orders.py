@@ -10,6 +10,18 @@
 * The priority select walks ``priority_order`` directly; the
   reference builds the list of pending apps first (one and two
   channels, with and without the starvation cap).
+* On one channel, STF and priority take a chosen head straight off its
+  deque; with the channel index built first (``indexed``), they must
+  keep it equal to a brute-force count of the queues.
+* PAR-BS and TCM walk apps in rank order and stop at the first app
+  with a candidate; the references are the full scans they replaced,
+  which build a ``(not marked, rank, enqueued, seq)`` (PAR-BS) or
+  ``(rank, enqueued, seq)`` (TCM) key for every queued request and
+  take the least, ready requests first.  The references also keep
+  their own ranks (the rank list the full scan reads), so a rank order
+  left stale by a batch or a recluster fails.  Random queues include
+  requests enqueued out of time order and pairs enqueued in reverse
+  creation order at one cycle.
 * ``CoreSim`` draws its read/write coin from one raw PCG64 word; over
   10k+ accesses (stalls and resumes included) the coins and gaps must
   be what a fresh ``Generator`` of the same seed gives from
@@ -27,9 +39,11 @@ from hypothesis import strategies as st
 
 from repro.sim.cpu import CorePhase, CoreSim, CoreSpec
 from repro.sim.dram.config import ddr2_400
-from repro.sim.mc.base import ReadyProbe, _always_ready
+from repro.sim.mc.base import ReadyProbe, Scheduler, _always_ready
+from repro.sim.mc.parbs import PARBSScheduler
 from repro.sim.mc.priority import PriorityScheduler
 from repro.sim.mc.stf import StartTimeFairScheduler
+from repro.sim.mc.tcm import TCMScheduler
 from repro.sim.request import Request
 from repro.sim.stream import MissAddressStream
 from repro.util.rng import RngStream
@@ -126,6 +140,142 @@ class PendingListPriority(PriorityScheduler):
         for app_id in pending:
             return self._pop_head(app_id, channel)
         return None
+
+
+class FullScanPARBS(PARBSScheduler):
+    """The reference: rank per batch, and key every queued request."""
+
+    def __init__(self, n_apps: int, marking_cap: int = 5) -> None:
+        super().__init__(n_apps, marking_cap)
+        self._rank = list(range(n_apps))
+
+    def _form_batch(self) -> None:
+        counts = [0] * self.n_apps
+        self._batch.clear()
+        for app_id, q in enumerate(self.queues):
+            for req in list(q)[: self.marking_cap]:
+                self._batch.add(req.seq)
+                counts[app_id] += 1
+        order = sorted(range(self.n_apps), key=lambda a: (counts[a], a))
+        self._rank = [0] * self.n_apps
+        for pos, app in enumerate(order):
+            self._rank[app] = pos
+        self.n_batches += 1
+
+    def _batch_pending(self, channel: int | None) -> bool:
+        return any(
+            req.seq in self._batch
+            for q in self.queues
+            for req in q
+            if channel is None or req.channel == channel
+        )
+
+    def select(
+        self,
+        now: float,
+        ready: ReadyProbe = _always_ready,
+        channel: int | None = None,
+    ) -> Request | None:
+        if not self.has_pending(channel):
+            return None
+        if not self._batch_pending(None):
+            self._form_batch()
+
+        def candidates(only_ready: bool):
+            best: Request | None = None
+            best_key = None
+            for app_id in range(self.n_apps):
+                for req in self._requests(app_id, channel):
+                    if only_ready and not ready(req):
+                        continue
+                    marked = req.seq in self._batch
+                    key = (not marked, self._rank[app_id], req.enqueued, req.seq)
+                    if best_key is None or key < best_key:
+                        best, best_key = req, key
+            return best
+
+        chosen = candidates(only_ready=True) or candidates(only_ready=False)
+        if chosen is None:
+            return None
+        self._batch.discard(chosen.seq)
+        return self._take(chosen)
+
+
+class FullScanTCM(TCMScheduler):
+    """The reference: rank per recluster, and key every queued request."""
+
+    def __init__(self, n_apps: int, **kw) -> None:
+        super().__init__(n_apps, **kw)
+        self._rank = list(range(n_apps))
+
+    def _recluster(self) -> None:
+        total = sum(self._arrivals_epoch)
+        order = sorted(
+            range(self.n_apps), key=lambda a: (self._arrivals_epoch[a], a)
+        )
+        self.latency_cluster = set()
+        acc = 0
+        for app in order:
+            if total == 0 or (acc + self._arrivals_epoch[app]) <= (
+                self.cluster_fraction * total
+            ):
+                self.latency_cluster.add(app)
+                acc += self._arrivals_epoch[app]
+            else:
+                break
+        bandwidth = [a for a in order if a not in self.latency_cluster]
+        self._shuffle_offset += 1
+        if bandwidth:
+            k = self._shuffle_offset % len(bandwidth)
+            bandwidth = bandwidth[k:] + bandwidth[:k]
+        ranked = [a for a in order if a in self.latency_cluster] + bandwidth
+        self._rank = [0] * self.n_apps
+        for pos, app in enumerate(ranked):
+            self._rank[app] = pos
+        self._arrivals_epoch = [0] * self.n_apps
+        self._since_recluster = 0
+        self.n_reclusters += 1
+
+    def select(
+        self,
+        now: float,
+        ready: ReadyProbe = _always_ready,
+        channel: int | None = None,
+    ) -> Request | None:
+        if self._since_recluster >= self.epoch_requests:
+            self._recluster()
+
+        def candidates(only_ready: bool):
+            best: Request | None = None
+            best_key = None
+            for app_id in range(self.n_apps):
+                for req in self._requests(app_id, channel):
+                    if only_ready and not ready(req):
+                        continue
+                    key = (self._rank[app_id], req.enqueued, req.seq)
+                    if best_key is None or key < best_key:
+                        best, best_key = req, key
+            return best
+
+        chosen = candidates(only_ready=True) or candidates(only_ready=False)
+        if chosen is None:
+            return None
+        self._since_recluster += 1
+        return self._take(chosen)
+
+
+def _index_matches_queues(sched: Scheduler) -> bool:
+    """The built channel index counts exactly what the queues hold."""
+    per_app, total = sched._chan_index
+    want_total: dict[int, int] = {}
+    for app_id, q in enumerate(sched.queues):
+        counts: dict[int, int] = {}
+        for req in q:
+            counts[req.channel] = counts.get(req.channel, 0) + 1
+            want_total[req.channel] = want_total.get(req.channel, 0) + 1
+        if per_app[app_id] != counts:
+            return False
+    return total == want_total
 
 
 def _beta(weights: list[int]) -> np.ndarray:
@@ -248,6 +398,162 @@ def test_priority_walk_matches_pending_list(scenario):
         assert (got is None) == (want is None)
         if got is not None:
             assert (got.app_id, got.line_addr) == (want.app_id, want.line_addr)
+
+
+def _ready_banks(ready_banks: frozenset[int]) -> ReadyProbe:
+    def ready(r: Request) -> bool:
+        return r.bank in ready_banks
+
+    return ready
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=_scenarios())
+def test_stf_head_take_keeps_a_built_index(scenario):
+    """One channel, index built before the first op: the head-take must
+    hand over to ``_take``, which keeps the index counting the queues."""
+    weights, _n_channels, ops = scenario
+    n = len(weights)
+    fast = StartTimeFairScheduler(n, _beta(weights))
+    ref = SortingSTF(n, _beta(weights))
+    assert not fast.has_pending(0)  # builds the channel index
+    now = 0.0
+    for k, op in enumerate(ops):
+        now += 1.0
+        if op[0] == "enq":
+            _, app, _chan, bank = op
+            for sched in (fast, ref):
+                sched.enqueue(Request(app, k, False, now, 0, bank), now)
+        elif op[0] == "sel":
+            ready = _ready_banks(op[2])
+            got = fast.select(now, ready)
+            want = ref.select(now, ready)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert (got.app_id, got.line_addr) == (want.app_id, want.line_addr)
+        else:
+            for sched in (fast, ref):
+                sched.update_shares(_beta(op[1]))
+        assert _index_matches_queues(fast)
+        assert fast.total_queued == ref.total_queued
+        assert fast.n_served == ref.n_served
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=_priority_scenarios())
+def test_priority_head_take_keeps_a_built_index(scenario):
+    n, order, _n_channels, cap, ops = scenario
+    fast = PriorityScheduler(n, order, starvation_cap=cap)
+    ref = PendingListPriority(n, order, starvation_cap=cap)
+    assert not fast.has_pending(0)  # builds the channel index
+    now = 0.0
+    for k, op in enumerate(ops):
+        now += 1.0
+        if op[0] == "enq":
+            _, app, _chan, bank = op
+            for sched in (fast, ref):
+                sched.enqueue(Request(app, k, False, now, 0, bank), now)
+        else:
+            ready = _ready_banks(op[2])
+            got = fast.select(now, ready)
+            want = ref.select(now, ready)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert (got.app_id, got.line_addr) == (want.app_id, want.line_addr)
+        assert _index_matches_queues(fast)
+        assert fast.total_queued == ref.total_queued
+        assert fast.n_served == ref.n_served
+
+
+@st.composite
+def _heuristic_scenarios(draw):
+    n = draw(st.integers(2, 8))
+    n_channels = draw(st.sampled_from([1, 2]))
+    app = st.integers(0, n - 1)
+    chan = st.integers(0, n_channels - 1)
+    bank = st.integers(0, N_BANKS - 1)
+    # ("enq", app, channel, bank, dt): enqueued at now + dt, so a
+    # negative dt enqueues out of time order; ("enq2", ...): two
+    # requests enqueued at one cycle, the younger (larger seq) first;
+    # ("sel", channel, ready banks)
+    op = st.one_of(
+        st.tuples(st.just("enq"), app, chan, bank, st.integers(-3, 3)),
+        st.tuples(st.just("enq2"), app, chan, bank, bank),
+        st.tuples(
+            st.just("sel"),
+            chan,
+            st.frozensets(st.integers(0, N_BANKS - 1), max_size=3),
+        ),
+    )
+    # long runs: ranks only depart from app order after a batch or a
+    # recluster has seen uneven traffic
+    return n, n_channels, draw(st.lists(op, min_size=50, max_size=120))
+
+
+def _drive_heuristic(fast, ref, n_channels, ops, check_state) -> None:
+    """Apply ``ops`` to both schedulers (the same request objects) and
+    require the same pick, and ``check_state``, after every op."""
+    now = 0.0
+    for k, op in enumerate(ops):
+        now += 1.0
+        if op[0] == "enq":
+            _, app, chan, bank, dt = op
+            req = Request(app, k, False, now + dt, chan, bank)
+            for sched in (fast, ref):
+                sched.enqueue(req, now + dt)
+        elif op[0] == "enq2":
+            _, app, chan, bank, bank2 = op
+            older = Request(app, k, False, now, chan, bank)
+            younger = Request(app, k, False, now, chan, bank2)
+            for sched in (fast, ref):
+                sched.enqueue(younger, now)
+                sched.enqueue(older, now)
+        else:
+            _, chan, ready_banks = op
+            channel = chan if n_channels > 1 else None
+            ready = _ready_banks(ready_banks)
+            got = fast.select(now, ready, channel)
+            want = ref.select(now, ready, channel)
+            assert got is want
+        check_state(fast, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=_heuristic_scenarios(), cap=st.integers(1, 4))
+def test_parbs_rank_walk_matches_full_scan(scenario, cap):
+    n, n_channels, ops = scenario
+
+    def check_state(fast, ref):
+        assert fast._batch == ref._batch
+        assert fast.n_batches == ref.n_batches
+        if ref.n_batches:
+            assert [ref._rank[a] for a in fast._order] == list(range(n))
+
+    _drive_heuristic(
+        PARBSScheduler(n, cap), FullScanPARBS(n, cap), n_channels, ops,
+        check_state,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scenario=_heuristic_scenarios(),
+    fraction=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+    epoch=st.integers(1, 8),
+)
+def test_tcm_rank_walk_matches_full_scan(scenario, fraction, epoch):
+    n, n_channels, ops = scenario
+
+    def check_state(fast, ref):
+        assert fast.n_reclusters == ref.n_reclusters
+        assert fast.latency_cluster == ref.latency_cluster
+        assert [ref._rank[a] for a in fast._order] == list(range(n))
+
+    kw = {"cluster_fraction": fraction, "epoch_requests": epoch}
+    _drive_heuristic(
+        TCMScheduler(n, **kw), FullScanTCM(n, **kw), n_channels, ops,
+        check_state,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -49,10 +49,15 @@ class TestChannelTimingLegality:
         intervals = []
         for bank, row, write, gap in ops:
             now += gap
-            res = ch.issue(_req(bank=bank, row=row, write=write), now)
-            intervals.append((res.data_start, res.data_end))
-            assert res.data_end - res.data_start == pytest.approx(cfg.burst_cycles)
-            assert res.data_start >= now - 1e-9
+            busy = ch.bus_busy_cycles
+            # issue returns the transfer's end; the burst fills the bus
+            # up to it
+            data_end = ch.issue(_req(bank=bank, row=row, write=write), now)
+            data_start = data_end - cfg.burst_cycles
+            intervals.append((data_start, data_end))
+            assert ch.bus_free == data_end
+            assert ch.bus_busy_cycles - busy == pytest.approx(cfg.burst_cycles)
+            assert data_start >= now - 1e-9
         for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
             assert s2 >= e1 - 1e-9  # bus transfers strictly ordered
 
@@ -65,15 +70,16 @@ class TestChannelTimingLegality:
         ch = Channel(cfg)
         bank_ready: dict[int, float] = {}
         for bank, write in ops:
-            res = ch.issue(_req(bank=bank, write=write), now=0.0)
+            data_end = ch.issue(_req(bank=bank, write=write), now=0.0)
+            data_start = data_end - cfg.burst_cycles
             if bank in bank_ready:
                 # a close-page access implies an activate, which may not
                 # precede the bank's previous ready time
                 assert (
-                    res.data_start - cfg.trcd_cycles - cfg.cl_cycles
+                    data_start - cfg.trcd_cycles - cfg.cl_cycles
                     >= bank_ready[bank] - 1e-9
                 )
-            bank_ready[bank] = res.bank_ready
+            bank_ready[bank] = ch.banks[bank].ready_time
 
 
 class TestSTFProperties:

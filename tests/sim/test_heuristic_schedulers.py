@@ -105,7 +105,7 @@ class TestTCMUnit:
             for a in range(3):
                 s.enqueue(req(a), float(round_))
             s.select(10.0)  # triggers recluster per epoch
-            ranks.append(tuple(s._rank))
+            ranks.append(tuple(s._order))
         assert len(set(ranks)) > 1  # ranks change across epochs
 
     def test_validation(self):

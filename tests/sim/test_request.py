@@ -12,28 +12,6 @@ class TestRequest:
     def test_default_timestamps_unset(self):
         r = Request(app_id=0, line_addr=1, is_write=False, created=5.0)
         assert r.enqueued == -1.0
-        assert r.issued == -1.0
-        assert r.completed == -1.0
-
-    def test_queue_delay(self):
-        r = Request(app_id=0, line_addr=1, is_write=False, created=0.0)
-        r.enqueued = 10.0
-        r.issued = 35.0
-        assert r.queue_delay == 25.0
-
-    def test_queue_delay_before_issue_is_zero(self):
-        r = Request(app_id=0, line_addr=1, is_write=False, created=0.0)
-        r.enqueued = 10.0
-        assert r.queue_delay == 0.0
-
-    def test_latency(self):
-        r = Request(app_id=0, line_addr=1, is_write=False, created=100.0)
-        r.completed = 475.0
-        assert r.latency == 375.0
-
-    def test_latency_before_completion_is_zero(self):
-        r = Request(app_id=0, line_addr=1, is_write=False, created=100.0)
-        assert r.latency == 0.0
 
     def test_decode_fields_default(self):
         r = Request(app_id=3, line_addr=1, is_write=True, created=0.0)

@@ -24,7 +24,7 @@ import pytest
 from repro.sim.cpu import CorePhase, CoreSim, CoreSpec
 from repro.sim.dram.address import DecodedAddress
 from repro.sim.dram.config import DRAMConfig, ddr2_400
-from repro.sim.stream import _BLOCK, MissAddressStream, StreamSpec
+from repro.sim.stream import _AHEAD, _BLOCK, MissAddressStream, StreamSpec
 from repro.util.rng import RngStream
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_stream.json"
@@ -151,3 +151,54 @@ def test_uniform_matches_generator_random(seed):
     n = 40 * _BLOCK + 17
     assert n >= 10_000
     assert [stream._uniform() for _ in range(n)] == [ref.random() for _ in range(n)]
+
+
+# ----------------------------------------------------------------------
+# read-ahead: accesses are generated _AHEAD at a time, returned one by one
+# ----------------------------------------------------------------------
+_READ_AHEAD_SPECS = [
+    StreamSpec(),  # power-of-two path
+    StreamSpec(row_locality=0.9, footprint_rows=32),  # long same-row runs
+    StreamSpec(bank_set=(0, 5, 9, 30)),  # bank-set stream, power of two
+    StreamSpec(bank_set=(1, 2, 6)),  # bank-set stream, fallback path
+    StreamSpec(footprint_rows=300),  # fallback path
+]
+_READ_AHEAD_IDS = ["default", "local", "banked4", "banked3", "rows300"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("spec", _READ_AHEAD_SPECS, ids=_READ_AHEAD_IDS)
+def test_interleaved_calls_give_the_unbuffered_sequence(seed, spec):
+    """``next_access`` and ``next_address`` share one read-ahead block:
+    any interleaving of the two, across several refills, returns the
+    sequence the stream drew one access at a time."""
+    stream = MissAddressStream(ddr2_400(), spec, 1, RngStream(seed, "a"))
+    n = 3 * _AHEAD + 7
+    expected = _reference_accesses(stream, RngStream(seed, "a").generator, n)
+    pattern = np.random.default_rng(seed).integers(0, 2, n)
+    for want, use_address in zip(expected, pattern):
+        if use_address:
+            assert stream.next_address() == want[0]
+        else:
+            assert stream.next_access() == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("spec", _READ_AHEAD_SPECS, ids=_READ_AHEAD_IDS)
+def test_current_is_the_last_access_returned(seed, spec):
+    """``current`` decodes the last access *returned*, not the last one
+    generated: the generation frontier runs up to ``_AHEAD`` ahead."""
+    stream = MissAddressStream(ddr2_400(), spec, 1, RngStream(seed, "a"))
+    assert stream.current is None
+    pattern = np.random.default_rng(seed).integers(0, 2, 3 * _AHEAD + 7)
+    for use_address in pattern:
+        if use_address:
+            addr = stream.next_address()
+        else:
+            addr, channel, flat_bank, row = stream.next_access()
+        cur = stream.current
+        assert cur == stream.mapper.decode(addr)
+        if not use_address:
+            assert (cur.channel, stream.mapper.bank_index(cur), cur.row) == (
+                channel, flat_bank, row
+            )
