@@ -85,10 +85,12 @@ bench-control:
 bench-obs:
 	$(PYTHON) benchmarks/bench_obs.py
 
-# watch gates: shadow-sampling request-path overhead <= 3% at the
-# default 5% rate, drift detector flags a perturbed surrogate artifact
-# within 50 requests (with auto-fallback to the sim), repro-top --once
-# smoke; writes BENCH_watch.json (see docs/WATCH.md)
+# watch gates: shadow-sampling at the default 5% rate keeps its counts
+# (due = solves / stride = sampled + shed, at most 2 sims at once, none
+# on the event loop) and is not slower by > 3% in 9 of 10 timed pairs;
+# drift detector flags a perturbed surrogate artifact within 50
+# requests (with auto-fallback to the sim); repro-top --once smoke;
+# writes BENCH_watch.json (see docs/WATCH.md)
 bench-watch:
 	$(PYTHON) benchmarks/bench_watch.py
 

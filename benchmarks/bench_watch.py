@@ -4,12 +4,29 @@
 Three gates, one JSON artifact (``BENCH_watch.json`` at the repo top
 level, or ``$BENCH_OUT_DIR``):
 
-1. **Shadow overhead** -- request-path cost of shadow-sampling at the
-   default 5% rate vs sampling disabled, A/B interleaved in-process
-   (no sockets, cache off, unbatched) so allocator and thermal state
-   hit both sides equally.  The sampler's inflight bound sheds due
-   samples rather than queueing sim work behind a burst, so the
-   request path must stay within ``--threshold`` (default 3%).
+1. **Shadow overhead** -- what shadow-sampling at the default 5% rate
+   adds to the request path, served in-process (no sockets, cache off,
+   unbatched).  The gate counts what the host cannot move, on every
+   shadowed run:
+
+   * every request is a surrogate solve, and the sampler is asked once
+     per solve;
+   * due samples (sampled plus skipped by the inflight bound) equal the
+     surrogate solves divided by the stride, exactly;
+   * no more than ``shadow_max_inflight`` shadow sims ever run at once,
+     and every sampled shadow runs one sim;
+   * no shadow sim runs on the event-loop thread.
+
+   A cost the counts cannot see (work added per due sample) is left to
+   wall-clock checks with perfbench's rule: ``--repeats`` alternating
+   shadowed/unshadowed pairs, and a failure only when the shadowed run
+   is the slower one in at least nine of ten pairs, *and* its median
+   exceeds the unshadowed median by more than ``--threshold`` percent
+   of the unshadowed request path (default 3), *and* by more than the
+   unshadowed runs' interquartile spread.  The rule is applied twice:
+   to each run's whole request path, and to the requests on which a
+   sample was due, where a per-sample cost lands without the noise of
+   the other requests.
 2. **Drift detection** -- serving a deliberately perturbed surrogate
    artifact (passing model card, coefficients scaled to 0.5x) under
    shadow rate 1.0 must flip the ``degraded`` flag within
@@ -20,19 +37,21 @@ level, or ``$BENCH_OUT_DIR``):
 Run (CI runs exactly this)::
 
     PYTHONPATH=src python benchmarks/bench_watch.py
-    PYTHONPATH=src python benchmarks/bench_watch.py --requests 200 --repeats 3
+    PYTHONPATH=src python benchmarks/bench_watch.py --requests 200 --repeats 20
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
 import os
 import pathlib
 import statistics
 import sys
 import tempfile
+import threading
 import time
 
 sys.path.insert(
@@ -42,6 +61,8 @@ sys.path.insert(
 import numpy as np  # noqa: E402
 
 from repro.service import PartitionService, ServiceConfig  # noqa: E402
+from repro.surrogate import simpath  # noqa: E402
+from repro.watch.drift import ShadowSampler  # noqa: E402
 from repro.surrogate.artifact import SurrogateModel, save_model  # noqa: E402
 from repro.surrogate.fit import (  # noqa: E402
     DEFAULT_TERMS,
@@ -87,10 +108,17 @@ def service_config(artifact_dir: str, **overrides) -> ServiceConfig:
     return ServiceConfig(**base)
 
 
-async def serve_requests(service: PartitionService, n: int, seed: int) -> float:
-    """Serve ``n`` in-process surrogate solves; returns request-path seconds."""
+async def serve_requests(
+    service: PartitionService, n: int, seed: int
+) -> tuple[list[float], int]:
+    """Serve ``n`` in-process surrogate requests.
+
+    Returns each request's request-path seconds and how many requests
+    the surrogate answered.
+    """
     rng = np.random.default_rng(seed)
-    total = 0.0
+    seconds: list[float] = []
+    surrogate_solves = 0
     for _ in range(n):
         apc = (np.array(APC) * rng.uniform(0.9, 1.1, size=3)).tolist()
         body = json.dumps(
@@ -99,51 +127,177 @@ async def serve_requests(service: PartitionService, n: int, seed: int) -> float:
         ).encode()
         t0 = time.perf_counter()
         status, out = await service.handle("POST", "/v1/partition", body)
-        total += time.perf_counter() - t0
+        seconds.append(time.perf_counter() - t0)
         if status != 200:
             raise RuntimeError(f"bench request failed: {status} {out}")
-    return total
+        surrogate_solves += out.get("source") == "surrogate"
+    return seconds, surrogate_solves
 
 
 # ----------------------------------------------------------------------
 # gate 1: shadow-sampling overhead on the request path
 # ----------------------------------------------------------------------
+class ShadowProbe:
+    """Counts the shadow sims a service starts.
+
+    It wraps :func:`repro.surrogate.simpath.simulate_partition_request`,
+    which the server imports when a shadow runs, and records how many
+    run at once and how many run on the event-loop thread.
+    """
+
+    def __init__(self) -> None:
+        self.loop_thread = threading.get_ident()
+        self._lock = threading.Lock()
+        self.sims = 0
+        self.active = 0
+        self.peak = 0
+        self.on_loop_thread = 0
+
+    @contextlib.contextmanager
+    def installed(self):
+        original = simpath.simulate_partition_request
+
+        def counted(*args, **kwargs):
+            with self._lock:
+                self.sims += 1
+                self.active += 1
+                self.peak = max(self.peak, self.active)
+                self.on_loop_thread += threading.get_ident() == self.loop_thread
+            try:
+                return original(*args, **kwargs)
+            finally:
+                with self._lock:
+                    self.active -= 1
+
+        simpath.simulate_partition_request = counted
+        try:
+            yield self
+        finally:
+            simpath.simulate_partition_request = original
+
+
+def _iqr(xs: list[float]) -> float:
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q3 - q1
+
+
+def _pairs(on: list[float], off: list[float], path_off: list[float]) -> dict:
+    """The medians, spread and pair count the wall-clock rule reads.
+
+    The overhead is a share of the unshadowed *whole* request path, so
+    the due requests' gap is bounded by the same 3% as the whole path.
+    """
+    med_on = statistics.median(on)
+    med_off = statistics.median(off)
+    return {
+        "median_ms_shadow": med_on * 1000.0,
+        "median_ms_baseline": med_off * 1000.0,
+        "iqr_ms_baseline": _iqr(off) * 1000.0,
+        "shadow_slower_pairs": sum(a > b for a, b in zip(on, off)),
+        "overhead_pct": 100.0 * (med_on - med_off) / statistics.median(path_off),
+    }
+
+
+#: the inflight bound of the overhead gate's shadowed runs
+MAX_INFLIGHT = 2
+
+
 async def bench_overhead(
     artifact_dir: str, requests: int, repeats: int, rate: float
 ) -> dict:
-    on: list[float] = []
-    off: list[float] = []
-    sampled = skipped = 0
-    for i in range(repeats + 1):
-        for with_shadow in (True, False):
-            service = PartitionService(service_config(
-                artifact_dir,
-                shadow_rate=rate if with_shadow else 0.0,
-                shadow_max_inflight=2,
-            ))
-            seconds = await serve_requests(service, requests, seed=17 + i)
-            await service.drain_shadows()
-            if i == 0:
-                continue  # warmup pair: imports, allocator, caches
-            if with_shadow:
-                on.append(seconds)
-                snap = service.watch.sampler.snapshot()
-                sampled += snap["sampled"]
-                skipped += snap["skipped_inflight"]
-            else:
-                off.append(seconds)
-    mean_on = statistics.mean(on)
-    mean_off = statistics.mean(off)
+    """Alternating shadowed/unshadowed runs (a warmup pair first, not timed).
+
+    Each run is timed twice: its whole request path, and the requests on
+    which a sample was due (the same request numbers on both sides).  The
+    second isolates a cost paid per due sample from the noise of the
+    other requests.
+    """
+    probe = ShadowProbe()  # on the event-loop thread
+    stride = ShadowSampler(rate).stride
+    timed: dict[str, dict[bool, list[float]]] = {
+        "request_path": {True: [], False: []},
+        "due_requests": {True: [], False: []},
+    }
+    counts = dict.fromkeys(
+        ("surrogate_solves", "sampler_calls", "due", "sampled",
+         "skipped_inflight"), 0
+    )
+    with probe.installed():
+        for i in range(repeats + 1):
+            for with_shadow in ((True, False) if i % 2 else (False, True)):
+                service = PartitionService(service_config(
+                    artifact_dir,
+                    shadow_rate=rate if with_shadow else 0.0,
+                    shadow_max_inflight=MAX_INFLIGHT,
+                ))
+                seconds, solves = await serve_requests(
+                    service, requests, seed=17 + i
+                )
+                await service.drain_shadows()
+                if i > 0:  # the warmup pair: imports, allocator, caches
+                    timed["request_path"][with_shadow].append(sum(seconds))
+                    timed["due_requests"][with_shadow].append(
+                        sum(seconds[stride - 1::stride])
+                    )
+                if with_shadow:
+                    snap = service.watch.sampler.snapshot()
+                    counts["surrogate_solves"] += solves
+                    counts["sampler_calls"] += snap["calls"]
+                    counts["due"] += solves // snap["stride"]
+                    counts["sampled"] += snap["sampled"]
+                    counts["skipped_inflight"] += snap["skipped_inflight"]
     return {
         "requests_per_side": requests,
-        "repeats": repeats,
+        "pairs": repeats,
         "rate": rate,
-        "mean_request_path_ms_shadow": mean_on * 1000.0,
-        "mean_request_path_ms_baseline": mean_off * 1000.0,
-        "overhead_pct": 100.0 * (mean_on - mean_off) / mean_off,
-        "shadows_sampled": sampled,
-        "shadows_skipped_inflight": skipped,
+        "max_inflight": MAX_INFLIGHT,
+        "shadowed_runs": repeats + 1,
+        **counts,
+        "shadow_sims": probe.sims,
+        "peak_concurrent_sims": probe.peak,
+        "sims_on_event_loop_thread": probe.on_loop_thread,
+        **{
+            name: _pairs(t[True], t[False], timed["request_path"][False])
+            for name, t in timed.items()
+        },
     }
+
+
+def overhead_failures(o: dict, threshold: float) -> list[str]:
+    """Every way the overhead record breaks the gate."""
+    failures = []
+    runs = o["shadowed_runs"]
+    if o["surrogate_solves"] != runs * o["requests_per_side"]:
+        failures.append(f"{o['surrogate_solves']} surrogate solves in "
+                        f"{runs} runs of {o['requests_per_side']} requests")
+    if o["sampler_calls"] != o["surrogate_solves"]:
+        failures.append(f"sampler asked {o['sampler_calls']} times for "
+                        f"{o['surrogate_solves']} surrogate solves")
+    if o["sampled"] + o["skipped_inflight"] != o["due"]:
+        failures.append(f"{o['sampled']} sampled + {o['skipped_inflight']} "
+                        f"skipped, but {o['due']} samples were due")
+    if o["shadow_sims"] != o["sampled"]:
+        failures.append(f"{o['shadow_sims']} shadow sims for "
+                        f"{o['sampled']} sampled shadows")
+    if o["peak_concurrent_sims"] > o["max_inflight"]:
+        failures.append(f"{o['peak_concurrent_sims']} shadow sims ran at "
+                        f"once (bound {o['max_inflight']})")
+    if o["sims_on_event_loop_thread"]:
+        failures.append(f"{o['sims_on_event_loop_thread']} shadow sims ran "
+                        "on the event-loop thread")
+    for name in ("request_path", "due_requests"):
+        t = o[name]
+        gap_ms = t["median_ms_shadow"] - t["median_ms_baseline"]
+        if (10 * t["shadow_slower_pairs"] >= 9 * o["pairs"]
+                and t["overhead_pct"] > threshold
+                and gap_ms > t["iqr_ms_baseline"]):
+            failures.append(
+                f"{name}: shadowed slower in {t['shadow_slower_pairs']} of "
+                f"{o['pairs']} pairs, median gap {t['overhead_pct']:+.2f} % of "
+                f"the request path, above {threshold:.1f} % and the unshadowed "
+                f"IQR ({t['iqr_ms_baseline']:.2f} ms)"
+            )
+    return failures
 
 
 # ----------------------------------------------------------------------
@@ -211,15 +365,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--requests", type=int, default=400,
                         help="in-process requests per overhead side")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timed A/B pairs (default 5, plus 1 warmup)")
+    parser.add_argument("--repeats", type=int, default=15,
+                        help="timed alternating pairs (default 15, min 10, "
+                             "plus 1 warmup)")
     parser.add_argument("--rate", type=float, default=0.05,
                         help="shadow rate under test (default 0.05)")
     parser.add_argument("--threshold", type=float, default=3.0,
-                        help="max allowed request-path overhead, percent")
+                        help="wall-clock bound on the median request-path "
+                             "overhead, percent (default 3); a failure also "
+                             "needs the shadowed run slower in 9 of 10 pairs "
+                             "and the gap above the unshadowed interquartile "
+                             "spread")
     parser.add_argument("--flag-budget", type=int, default=50,
                         help="requests within which drift must be flagged")
     args = parser.parse_args(argv)
+    if args.repeats < 10:
+        parser.error("--repeats must be at least 10")
 
     failures: list[str] = []
     with tempfile.TemporaryDirectory() as healthy_dir, \
@@ -230,19 +391,26 @@ def main(argv=None) -> int:
         overhead = asyncio.run(bench_overhead(
             healthy_dir, args.requests, args.repeats, args.rate
         ))
-        print(f"shadow rate        : {overhead['rate']:.2f} "
-              f"({overhead['shadows_sampled']} sampled, "
-              f"{overhead['shadows_skipped_inflight']} shed by the "
-              f"inflight bound)")
-        print(f"request path shadow: "
-              f"{overhead['mean_request_path_ms_shadow']:8.2f} ms "
-              f"/ {overhead['requests_per_side']} requests")
-        print(f"request path off   : "
-              f"{overhead['mean_request_path_ms_baseline']:8.2f} ms")
-        print(f"overhead           : {overhead['overhead_pct']:+8.2f} %  "
-              f"(threshold {args.threshold:.1f} %)")
-        if overhead["overhead_pct"] > args.threshold:
-            failures.append("shadow-sampling overhead above threshold")
+        print(f"shadow rate        : {overhead['rate']:.2f} over "
+              f"{overhead['shadowed_runs']} runs: "
+              f"{overhead['surrogate_solves']} surrogate solves, "
+              f"{overhead['due']} due, {overhead['sampled']} sampled, "
+              f"{overhead['skipped_inflight']} shed by the inflight bound")
+        print(f"shadow sims        : {overhead['shadow_sims']} run, at most "
+              f"{overhead['peak_concurrent_sims']} at once (bound "
+              f"{overhead['max_inflight']}), "
+              f"{overhead['sims_on_event_loop_thread']} on the event loop")
+        print(f"pairs              : {overhead['pairs']} (alternating); a "
+              f"timing fails when shadowed is slower in 9 of 10 pairs, by "
+              f"more than {args.threshold:.1f} % of the request path and the "
+              f"unshadowed IQR")
+        for name in ("request_path", "due_requests"):
+            t = overhead[name]
+            print(f"{name:<19}: shadow {t['median_ms_shadow']:8.2f} ms, off "
+                  f"{t['median_ms_baseline']:8.2f} ms (IQR "
+                  f"{t['iqr_ms_baseline']:.2f}), {t['overhead_pct']:+7.2f} %, "
+                  f"slower in {t['shadow_slower_pairs']}")
+        failures += overhead_failures(overhead, args.threshold)
 
         drift = asyncio.run(bench_drift_flagging(
             drifted_dir, args.flag_budget

@@ -12,13 +12,21 @@ catch.
 
 Resolution rules for a referenced name inside module ``M``:
 
-* a function/method defined in ``M`` -> edge to that definition;
+* a function/class/method defined in ``M`` -> edge to that definition
+  (when only methods share the name, the rules below apply too);
 * a name ``M`` imported (``from X import f``) -> edge to ``X.f`` when
   ``X`` is part of the analyzed project;
+* an imported name whose origin is a package re-export (``from
+  repro.obs import configure``) -> followed to the defining module;
 * an attribute reference ``anything.f`` -> edge to every analyzed
   module in scope that defines ``f`` (attribute receivers are not
   type-resolved; same-name fallback keeps methods like
   ``Scheme.allocate`` connected to their implementations).
+
+String constants that are identifiers count as references too, so a
+name looked up with ``getattr`` or kept in a dispatch table of strings
+still connects.  Classes are nodes whose references cover their whole
+body, methods included.
 """
 
 from __future__ import annotations
@@ -27,14 +35,21 @@ import ast
 import dataclasses
 from typing import Iterator
 
-from repro.analysis.context import FileContext, ProjectContext
+from repro.analysis.context import FileContext
 
-__all__ = ["FunctionInfo", "ModuleGraph", "build_module_graph", "reaches"]
+__all__ = [
+    "FunctionInfo",
+    "ModuleGraph",
+    "build_module_graph",
+    "reaches",
+    "references",
+    "resolve",
+]
 
 
 @dataclasses.dataclass
 class FunctionInfo:
-    """One function/method definition -- or a module-level binding.
+    """One function/method/class definition -- or a module-level binding.
 
     Module-level assignments (``_KERNELS = {"direct": solve}``) join the
     graph as pseudo-nodes so dict-dispatch still connects solvers to
@@ -48,33 +63,40 @@ class FunctionInfo:
     #: ``Class.method`` for methods, else the simple name
     qualname: str
     node: ast.AST
-    #: every Name id and Attribute attr referenced in the body
+    #: every Name id, Attribute attr and identifier string in the body
     references: frozenset[str]
     #: local imports inside the body: name -> fully qualified origin
     local_imports: dict[str, str]
     #: True for module-level assignments rather than function defs
     is_binding: bool = False
+    #: True for a class node (its references cover the whole body)
+    is_class: bool = False
 
 
 def _iter_defs(
     tree: ast.Module,
-) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef]]:
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
+            yield node.name, node
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     yield f"{node.name}.{item.name}", item
 
 
-def _references(tree: ast.AST) -> frozenset[str]:
+def references(tree: ast.AST) -> frozenset[str]:
+    """Names, attributes and identifier strings anywhere under ``tree``."""
     names: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
     return frozenset(names)
 
 
@@ -90,9 +112,9 @@ def _iter_bindings(tree: ast.Module) -> Iterator[tuple[str, ast.stmt, ast.AST]]:
                 yield node.target.id, node, node.value
 
 
-def _local_imports(func: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, str]:
+def _local_imports(tree: ast.AST) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for node in ast.walk(func):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
             for alias in node.names:
                 if alias.name != "*":
@@ -139,8 +161,9 @@ def build_module_graph(files: list[FileContext]) -> ModuleGraph:
                 name=simple,
                 qualname=qualname,
                 node=node,
-                references=_references(node),
+                references=references(node),
                 local_imports=_local_imports(node),
+                is_class=isinstance(node, ast.ClassDef),
             )
             by_name.setdefault(simple, []).append(info)
         for name, stmt, value in _iter_bindings(ctx.tree):
@@ -152,7 +175,7 @@ def build_module_graph(files: list[FileContext]) -> ModuleGraph:
                     name=name,
                     qualname=name,
                     node=stmt,
-                    references=_references(value),
+                    references=references(value),
                     local_imports={},
                     is_binding=True,
                 )
@@ -160,25 +183,30 @@ def build_module_graph(files: list[FileContext]) -> ModuleGraph:
     return ModuleGraph(defs=defs, imports=imports)
 
 
-def _resolve(
+def resolve(
     graph: ModuleGraph, info: FunctionInfo, name: str
 ) -> Iterator[FunctionInfo]:
     """Definitions a referenced ``name`` may denote, conservatively."""
-    local = graph.defs.get(info.module, {}).get(name)
-    if local:
-        yield from local
+    local = graph.defs.get(info.module, {}).get(name, [])
+    yield from local
+    if any("." not in d.qualname for d in local):
         return
+    # only methods share the name: a bare name still means the import
     origin = info.local_imports.get(name) or graph.imports.get(info.module, {}).get(
         name
     )
-    if origin is not None:
+    seen: set[str] = set()
+    while origin is not None and origin not in seen:
+        seen.add(origin)
         module, _, func = origin.rpartition(".")
         targets = graph.defs.get(module, {}).get(func)
         if targets:
             yield from targets
             return
-    # attribute / dynamic fallback: any same-named analyzed definition
-    yield from graph.definers_of(name)
+        origin = graph.imports.get(module, {}).get(func)  # a package re-export
+    if not local:
+        # attribute / dynamic fallback: any same-named analyzed definition
+        yield from graph.definers_of(name)
 
 
 def reaches(
@@ -210,11 +238,6 @@ def reaches(
             ).get(name)
             if origin is not None and origin.rpartition(".")[2] == anchor:
                 return True
-            for target in _resolve(graph, info, name):
+            for target in resolve(graph, info, name):
                 work.append(target)
     return False
-
-
-def project_graph(project: ProjectContext) -> ModuleGraph:
-    """Convenience: graph over every analyzed file in the project."""
-    return build_module_graph(project.files)

@@ -18,7 +18,7 @@ Unknown keys inside a rule table are kept verbatim in
 :attr:`RuleConfig.options` so individual rules can define their own
 knobs (like ``solver-pattern`` above) without touching this module.
 The ``[project.scripts]`` targets are read too: they are the console
-entry points the ``dead-code`` rule roots its import walk at.
+entry points the ``dead-code`` rule roots its walk at.
 
 TOML parsing uses :mod:`tomllib` (Python >= 3.11) and falls back to the
 ``tomli`` backport on 3.10.  When neither is importable the loader
@@ -87,7 +87,7 @@ class LintConfig:
     rules: dict[str, RuleConfig] = dataclasses.field(default_factory=dict)
     #: where the config came from (None -> built-in defaults)
     source: pathlib.Path | None = None
-    #: modules named by ``[project.scripts]`` (``pkg.cli:main`` -> ``pkg.cli``)
+    #: ``[project.scripts]`` targets (``pkg.cli:main``)
     entry_points: tuple[str, ...] = ()
 
     def rule(self, rule_id: str) -> RuleConfig:
@@ -119,7 +119,7 @@ def load_config(pyproject: pathlib.Path | None) -> LintConfig:
         return LintConfig(source=None)
     scripts = data.get("project", {}).get("scripts", {})
     entry_points = (
-        tuple(sorted({str(t).partition(":")[0].strip() for t in scripts.values()}))
+        tuple(sorted({str(t).strip() for t in scripts.values()}))
         if isinstance(scripts, dict)
         else ()
     )

@@ -117,19 +117,10 @@ class ProjectContext:
     """All analyzed files, indexed for cross-module rules."""
 
     files: list[FileContext]
-    #: ``[project.scripts]`` target modules (see :class:`LintConfig`)
+    #: ``[project.scripts]`` targets, ``pkg.cli:main`` (see :class:`LintConfig`)
     entry_points: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         self.by_module: dict[str, FileContext] = {
             f.module: f for f in self.files if f.module is not None
         }
-
-    def modules_under(self, prefix: str) -> list[FileContext]:
-        """Contexts whose dotted module name starts with ``prefix``."""
-        dotted = prefix.rstrip(".")
-        return [
-            f
-            for m, f in sorted(self.by_module.items())
-            if m == dotted or m.startswith(dotted + ".")
-        ]

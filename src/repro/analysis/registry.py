@@ -10,12 +10,12 @@ populated as soon as the engine loads.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Iterable, TypeVar
 
 from repro.analysis.context import FileContext, ProjectContext
 from repro.analysis.diagnostics import Diagnostic, Severity
 
-__all__ = ["Rule", "register", "all_rules", "get_rule"]
+__all__ = ["Rule", "register", "all_rules"]
 
 
 class Rule:
@@ -80,15 +80,3 @@ def all_rules() -> dict[str, type[Rule]]:
 
     return dict(_REGISTRY)
 
-
-def get_rule(rule_id: str) -> type[Rule]:
-    rules = all_rules()
-    try:
-        return rules[rule_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown rule {rule_id!r}; known: {', '.join(sorted(rules))}"
-        ) from None
-
-
-Checker = Callable[[FileContext], Iterable[Diagnostic]]

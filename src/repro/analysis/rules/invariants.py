@@ -89,7 +89,7 @@ class ConservationAnchorRule(Rule):
         }
         for module, ctx in sorted(scoped_files.items()):
             for info in graph.functions(module):
-                if info.is_binding:
+                if info.is_binding or info.is_class:
                     continue
                 if info.name.startswith("_") or info.name == anchor:
                     continue

@@ -81,10 +81,6 @@ class ControlEvalResult:
             return None
         return max(lag for lag in lags if lag is not None)
 
-    @property
-    def max_regret(self) -> float:
-        return max(self.regret.values()) if self.regret else 0.0
-
     def converged_within(self, epochs: int) -> bool:
         """True when every change point re-converged in <= ``epochs``."""
         lag = self.max_lag

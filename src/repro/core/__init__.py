@@ -13,8 +13,6 @@ from typing import TYPE_CHECKING, Any
 from repro.core.apps import AppProfile, Workload, relative_std
 from repro.core.bandwidth import (
     BandwidthUnit,
-    apc_to_bytes_per_sec,
-    bytes_per_sec_to_apc,
     capped_allocation,
     greedy_allocation,
     normalize_shares,
@@ -25,13 +23,8 @@ from repro.core.batch import (
     batch_allocate,
     batch_capped_allocation,
     batch_greedy_allocation,
-    batch_hsp_proportional,
-    batch_hsp_square_root,
-    batch_power_allocation,
     batch_qos_plan,
     batch_solve_fractional_knapsack,
-    batch_wsp_proportional,
-    batch_wsp_square_root,
 )
 from repro.core.closed_form import (
     cauchy_dominance_holds,
@@ -62,7 +55,6 @@ from repro.core.model import AnalyticalModel, OperatingPoint
 from repro.core.partitioning import (
     SCHEME_ORDER,
     EqualPartitioning,
-    ExplicitShares,
     NoPartitioningModel,
     PartitioningScheme,
     PowerPartitioning,
@@ -100,8 +92,6 @@ __all__ = [
     "Workload",
     "relative_std",
     "BandwidthUnit",
-    "apc_to_bytes_per_sec",
-    "bytes_per_sec_to_apc",
     "capped_allocation",
     "greedy_allocation",
     "normalize_shares",
@@ -110,13 +100,8 @@ __all__ = [
     "batch_allocate",
     "batch_capped_allocation",
     "batch_greedy_allocation",
-    "batch_hsp_proportional",
-    "batch_hsp_square_root",
-    "batch_power_allocation",
     "batch_qos_plan",
     "batch_solve_fractional_knapsack",
-    "batch_wsp_proportional",
-    "batch_wsp_square_root",
     "cauchy_dominance_holds",
     "hsp_proportional",
     "hsp_square_root",
@@ -143,7 +128,6 @@ __all__ = [
     "optimize_partition",
     "SCHEME_ORDER",
     "EqualPartitioning",
-    "ExplicitShares",
     "NoPartitioningModel",
     "PartitioningScheme",
     "PowerPartitioning",

@@ -37,8 +37,6 @@ from repro.util.validation import check_positive
 
 __all__ = [
     "BandwidthUnit",
-    "apc_to_bytes_per_sec",
-    "bytes_per_sec_to_apc",
     "normalize_shares",
     "pairwise_sum",
     "capped_allocation",
@@ -85,20 +83,9 @@ class BandwidthUnit:
         return self.to_bytes_per_sec(apc) / 1e9
 
 
-_DEFAULT_UNIT = BandwidthUnit()
-
-
-def apc_to_bytes_per_sec(apc: float, unit: BandwidthUnit = _DEFAULT_UNIT) -> float:
-    """Convenience wrapper using the paper's default 64 B / 5 GHz context."""
-    return unit.to_bytes_per_sec(apc)
-
-
-def bytes_per_sec_to_apc(bps: float, unit: BandwidthUnit = _DEFAULT_UNIT) -> float:
-    """Convenience wrapper using the paper's default 64 B / 5 GHz context."""
-    return unit.to_apc(bps)
-
-
-def conservation_residual(
+# perfbench/checks.py checks every served allocation against Eq. 2
+# with this residual.
+def conservation_residual(  # reprolint: disable=dead-code
     alloc: np.ndarray,
     total_bandwidth: float | np.ndarray,
     capacity: np.ndarray | None = None,

@@ -48,10 +48,9 @@ Every kernel performs, row by row, *exactly the same floating point
 operations in the same order* as its scalar counterpart
 (:func:`repro.core.bandwidth.capped_allocation`,
 :func:`repro.core.bandwidth.greedy_allocation`,
-:func:`repro.core.knapsack.solve_fractional_knapsack`, the closed
-forms of :mod:`repro.core.closed_form`), so on any input the scalar
-API accepts, a row's answer does not depend on its stack or on which
-kernel solved it.  The service relies on this: a micro-batched solve
+:func:`repro.core.knapsack.solve_fractional_knapsack`), so on any
+input the scalar API accepts, a row's answer does not depend on its
+stack or on which kernel solved it.  The service relies on this: a micro-batched solve
 must be bit-identical to the single-request solve it replaces
 (``tests/service/test_batch_identity.py``,
 ``tests/core/test_kernel_golden.py``).  Three rules keep the float row
@@ -117,15 +116,10 @@ __all__ = [
     "row_allocate",
     "batch_capped_allocation",
     "batch_greedy_allocation",
-    "batch_power_allocation",
     "batch_priority_order",
     "batch_allocate",
     "BatchKnapsackSolution",
     "batch_solve_fractional_knapsack",
-    "batch_hsp_square_root",
-    "batch_wsp_square_root",
-    "batch_hsp_proportional",
-    "batch_wsp_proportional",
     "batch_qos_plan",
     "BATCH_SCHEMES",
     "POWER_ALPHA",
@@ -271,24 +265,6 @@ def _capped_allocation(
         work_conserving=True,
         where="batch_capped_allocation",
     )
-
-
-def batch_power_allocation(
-    apc_alone: np.ndarray,
-    total_bandwidth: BudgetLike,
-    alpha: float,
-    *,
-    work_conserving: bool = True,
-) -> np.ndarray:
-    """Row-wise power-family allocation ``beta_i ~ APC_alone,i ** alpha``.
-
-    Covers Equal (0), Square_root (0.5), 2/3_power (2/3), Proportional
-    (1) and the No_partitioning stand-in (gamma > 1).
-    """
-    if not np.isfinite(alpha):
-        raise ConfigurationError(f"alpha must be finite, got {alpha!r}")
-    a = as_request_matrix("apc_alone", apc_alone)
-    return _power_allocation(a, total_bandwidth, alpha, work_conserving)
 
 
 def _power_allocation(
@@ -536,46 +512,6 @@ def _solve_fractional_knapsack(
         fill_order=order,
         split_item=split,
     )
-
-
-# ----------------------------------------------------------------------
-# closed forms (paper Eqs. 4, 6, 8), stacked
-# ----------------------------------------------------------------------
-def _positive_row_sums(name: str, terms: np.ndarray) -> np.ndarray:
-    """Row sums of ``terms``, guarded against zero/underflow denominators."""
-    totals = terms.sum(axis=1)
-    if not ((totals > 0) & np.isfinite(totals)).all():
-        raise ConfigurationError(f"{name} must sum to a positive finite value per row")
-    return totals
-
-
-def batch_hsp_square_root(apc_alone: np.ndarray, total_bandwidth: BudgetLike) -> np.ndarray:
-    """Eq. (4) per row: ``N * B / (sum_i sqrt(a_i))^2``."""
-    a = as_request_matrix("apc_alone", apc_alone)
-    b = _as_budget_vector("total_bandwidth", total_bandwidth, a.shape[0])
-    s = _positive_row_sums("sqrt(apc_alone)", np.sqrt(a))
-    return a.shape[1] * b / (s * s)
-
-
-def batch_wsp_square_root(apc_alone: np.ndarray, total_bandwidth: BudgetLike) -> np.ndarray:
-    """Self-consistent Eq. (6) per row (see :mod:`repro.core.closed_form`)."""
-    a = as_request_matrix("apc_alone", apc_alone)
-    b = _as_budget_vector("total_bandwidth", total_bandwidth, a.shape[0])
-    root_sum = _positive_row_sums("sqrt(apc_alone)", np.sqrt(a))
-    return b / a.shape[1] * (1.0 / np.sqrt(a)).sum(axis=1) / root_sum
-
-
-def batch_hsp_proportional(apc_alone: np.ndarray, total_bandwidth: BudgetLike) -> np.ndarray:
-    """Eq. (8) per row: ``B / sum_i a_i``."""
-    a = as_request_matrix("apc_alone", apc_alone)
-    b = _as_budget_vector("total_bandwidth", total_bandwidth, a.shape[0])
-    totals = _positive_row_sums("apc_alone", a)
-    return b / totals
-
-
-def batch_wsp_proportional(apc_alone: np.ndarray, total_bandwidth: BudgetLike) -> np.ndarray:
-    """Eq. (8) per row (Wsp equals Hsp under Proportional)."""
-    return batch_hsp_proportional(apc_alone, total_bandwidth)
 
 
 # ----------------------------------------------------------------------

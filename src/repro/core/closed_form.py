@@ -1,3 +1,6 @@
+# reprolint: disable-file=dead-code
+# Paper content: the closed forms of Sec. III, Eqs. (4), (6) and (8),
+# checked against the explicit allocations by tests/core/test_closed_form.py.
 """Closed-form performance expressions derived in the paper (Sec. III).
 
 These give the value of a metric under a named partitioning scheme

@@ -1,3 +1,6 @@
+# reprolint: disable-file=dead-code
+# Paper content: the power family of Sec. III-F, run by
+# examples/fairness_throughput_frontier.py.
 """Throughput-fairness tradeoff analysis over the power family.
 
 Paper Sec. III-F observes that Equal (α=0), Square_root (α=1/2),

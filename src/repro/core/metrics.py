@@ -35,7 +35,6 @@ FloatRow = np.ndarray | Sequence[float]
 
 __all__ = [
     "Metric",
-    "JainFairness",
     "HarmonicWeightedSpeedup",
     "WeightedSpeedup",
     "SumOfIPCs",
@@ -176,29 +175,6 @@ class MinFairness(Metric):
     def evaluate(self, ipc_shared: FloatRow, ipc_alone: FloatRow) -> float:
         shared = _row(ipc_shared)
         return len(shared) * _minimum(_ratios(shared, _row(ipc_alone)))
-
-
-class JainFairness(Metric):
-    """Jain's fairness index over per-app speedups (extension metric).
-
-    ``J = (sum s_i)^2 / (N * sum s_i^2)`` in (0, 1]; 1 means perfectly
-    equal speedups, 1/N means one app holds everything.  Not in the
-    paper, but the classic fairness index its MinFairness complements:
-    MinFairness looks at the worst victim, Jain at the overall balance.
-    Its optimum is the same Proportional partition (equal speedups
-    maximize J), which the test-suite verifies against the numerical
-    optimizer.
-    """
-
-    name = "jain"
-    label = "Jain fairness index"
-
-    def evaluate(self, ipc_shared: np.ndarray, ipc_alone: np.ndarray) -> float:
-        s = ipc_shared / ipc_alone
-        denom = len(s) * float((s * s).sum())
-        if denom <= 0:
-            return 0.0
-        return float(s.sum()) ** 2 / denom
 
 
 #: the four paper metrics, in the order used throughout the evaluation

@@ -54,7 +54,6 @@ __all__ = [
     "PriorityAPC",
     "PriorityAPI",
     "NoPartitioningModel",
-    "ExplicitShares",
     "SCHEME_ORDER",
     "scheme_by_name",
     "default_schemes",
@@ -220,29 +219,6 @@ class NoPartitioningModel(ShareBasedScheme):
 
     def __repr__(self) -> str:
         return f"NoPartitioningModel(gamma={self.gamma!r})"
-
-
-class ExplicitShares(ShareBasedScheme):
-    """A share vector supplied directly (used by the QoS partitioner and
-    by the generic numerical optimizer)."""
-
-    def __init__(
-        self, beta: np.ndarray, name: str = "explicit", label: str | None = None
-    ) -> None:
-        b = np.asarray(beta, dtype=float)
-        total = float(b.sum())
-        if np.any(b < 0) or not np.isclose(total, 1.0, atol=1e-8):
-            raise ConfigurationError(f"explicit shares must be >=0 and sum to 1, got {b}")
-        self._beta = b / total
-        self.name = name
-        self.label = label or name
-
-    def beta(self, workload: Workload) -> np.ndarray:
-        if len(self._beta) != workload.n:
-            raise ConfigurationError(
-                f"shares have length {len(self._beta)} but workload has {workload.n} apps"
-            )
-        return self._beta.copy()
 
 
 #: report column order used in the paper's Fig. 2

@@ -39,9 +39,6 @@ __all__ = [
     "QoSTarget",
     "QoSPlan",
     "QoSPartitioner",
-    "AdmissionResult",
-    "max_feasible_target",
-    "admit_targets",
 ]
 
 
@@ -195,115 +192,3 @@ class QoSPartitioner:
         from repro.core.optimizer import optimize_partition
 
         return optimize_partition(sub, b_be, obj).apc_shared
-
-
-# ----------------------------------------------------------------------
-# admission control (extension of Sec. III-G)
-# ----------------------------------------------------------------------
-def max_feasible_target(
-    workload: Workload,
-    total_bandwidth: float,
-    app_name: str,
-    *,
-    best_effort_floor: float = 0.0,
-    existing: list[QoSTarget] | None = None,
-) -> float:
-    """Highest guaranteeable IPC for one application.
-
-    The binding constraints are (a) the app's standalone IPC (bandwidth
-    cannot make it faster than alone, Eq. 1) and (b) the bandwidth left
-    after other reservations and a best-effort floor:
-    ``IPC_max = min(IPC_alone, (B - B_other - floor) / API)``.
-    """
-    check_positive("total_bandwidth", total_bandwidth)
-    if best_effort_floor < 0:
-        raise ConfigurationError("best_effort_floor must be >= 0")
-    i = workload.index_of(app_name)
-    app = workload[i]
-    reserved = 0.0
-    for t in existing or []:
-        if t.app_name == app_name:
-            raise ConfigurationError(f"{app_name!r} already has a target")
-        j = workload.index_of(t.app_name)
-        reserved += t.ipc_target * workload[j].api
-    available = total_bandwidth - reserved - best_effort_floor
-    if available <= 0:
-        return 0.0
-    return min(app.ipc_alone, available / app.api)
-
-
-@dataclass(frozen=True)
-class AdmissionResult:
-    """Outcome of QoS admission control."""
-
-    admitted: tuple[QoSTarget, ...]
-    rejected: tuple[QoSTarget, ...]
-    plan: QoSPlan | None
-
-    @property
-    def n_admitted(self) -> int:
-        return len(self.admitted)
-
-
-def admit_targets(
-    workload: Workload,
-    total_bandwidth: float,
-    targets: list[QoSTarget],
-    *,
-    objective: Metric | None = None,
-    best_effort_floor: float = 0.0,
-    policy: str = "max-count",
-) -> AdmissionResult:
-    """Admit as many QoS targets as fit; plan the admitted set.
-
-    Policies
-    --------
-    ``max-count``
-        Admit in increasing order of reserved bandwidth
-        (``IPC_target x API``): the greedy rule that maximizes the
-        *number* of admitted guarantees (exchange argument: any feasible
-        set can be transformed into a prefix of the cheap-first order
-        without reducing its size).
-    ``fifo``
-        Admit in the given order, skipping any target that no longer
-        fits (arrival-order admission, as an online system would).
-
-    Targets that exceed an app's standalone IPC are always rejected.
-    """
-    check_positive("total_bandwidth", total_bandwidth)
-    if best_effort_floor < 0:
-        raise ConfigurationError("best_effort_floor must be >= 0")
-    if policy not in ("max-count", "fifo"):
-        raise ConfigurationError(f"unknown admission policy {policy!r}")
-    seen: set[str] = set()
-    for t in targets:
-        if t.app_name in seen:
-            raise ConfigurationError(f"duplicate target for {t.app_name!r}")
-        seen.add(t.app_name)
-
-    def reservation(t: QoSTarget) -> float:
-        return t.ipc_target * workload[workload.index_of(t.app_name)].api
-
-    order = (
-        sorted(targets, key=reservation) if policy == "max-count" else list(targets)
-    )
-    budget = total_bandwidth - best_effort_floor
-    admitted: list[QoSTarget] = []
-    rejected: list[QoSTarget] = []
-    for t in order:
-        app = workload[workload.index_of(t.app_name)]
-        cost = reservation(t)
-        if t.ipc_target > app.ipc_alone + 1e-12 or cost > budget + 1e-12:
-            rejected.append(t)
-            continue
-        admitted.append(t)
-        budget -= cost
-
-    plan = None
-    if admitted:
-        plan = QoSPartitioner(objective or WeightedSpeedup()).plan(
-            workload, total_bandwidth, admitted
-        )
-    return AdmissionResult(
-        admitted=tuple(admitted), rejected=tuple(rejected), plan=plan
-    )

@@ -76,10 +76,6 @@ class ModelVsSimResult:
         pred, meas = self.apc[scheme]
         return float(np.mean(np.abs(pred - meas) / np.maximum(meas, 1e-12)))
 
-    @property
-    def worst_apc_error(self) -> float:
-        return max(self.apc_error(s) for s in self.apc)
-
 
 def model_vs_sim(runner: Runner, mix: str) -> ModelVsSimResult:
     """Predict every scheme's operating point and compare to simulation."""

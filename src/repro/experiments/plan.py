@@ -595,7 +595,8 @@ def compile_plan(
     return plan
 
 
-def grid_plan(
+# perfbench/sweep.py and benchmarks/bench_sweep.py plan their sweeps here.
+def grid_plan(  # reprolint: disable=dead-code
     mixes, schemes, config: SimConfig, *, copies: int = 1
 ) -> SweepPlan:
     """A single-grid plan: every (mix, scheme) run of one grid plus the

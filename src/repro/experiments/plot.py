@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from repro.util.errors import ConfigurationError
 
-__all__ = ["hbar", "bar_chart", "grouped_bar_chart", "line_series"]
+__all__ = ["hbar", "bar_chart", "line_series"]
 
 _FULL = "#"
 _BASELINE_MARK = "|"
@@ -69,31 +69,6 @@ def bar_chart(
             + f"^ baseline = {value_fmt.format(baseline)}"
         )
     return "\n".join(lines)
-
-
-def grouped_bar_chart(
-    grid: Mapping[str, Mapping[str, float]],
-    *,
-    title: str | None = None,
-    columns: Sequence[str] | None = None,
-    width: int = 36,
-    baseline: float | None = 1.0,
-) -> str:
-    """One bar block per row of ``{group: {series: value}}`` -- the
-    paper's grouped-bars-per-workload layout."""
-    if not grid:
-        raise ConfigurationError("grouped_bar_chart needs at least one group")
-    blocks = []
-    if title:
-        blocks.append(title)
-    for group, series in grid.items():
-        ordered = (
-            {c: series[c] for c in columns} if columns is not None else series
-        )
-        blocks.append(
-            bar_chart(ordered, title=f"[{group}]", width=width, baseline=baseline)
-        )
-    return "\n\n".join(blocks)
 
 
 def line_series(

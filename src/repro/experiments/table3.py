@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.experiments.report import format_table
 from repro.experiments.runner import Runner
-from repro.workloads.spec import TABLE3, BenchmarkSpec
+from repro.workloads.spec import TABLE3
 
 __all__ = ["Table3Row", "Table3Result", "run", "render"]
 
@@ -91,8 +91,3 @@ def render(result: Table3Result) -> str:
         headers, rows, title="Table III: benchmark classification (measured vs paper)"
     )
     return f"{table}\n\nworst APKC error: {result.worst_apkc_error * 100:.2f}%"
-
-
-def paper_spec(name: str) -> BenchmarkSpec:
-    """Convenience re-export for callers building custom tables."""
-    return TABLE3[name]

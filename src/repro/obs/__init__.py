@@ -8,9 +8,8 @@ One stdlib-only layer observing every tier of the system the same way:
   decorator) recording wall+CPU time per phase into a bounded ring
   (``obs.tracer()``), nesting correctly across threads and asyncio
   tasks via ``contextvars``;
-* exporters: Prometheus text, JSON-lines, and Chrome trace-event JSON
-  (Perfetto-loadable), plus the per-run provenance
-  :class:`~repro.obs.manifest.RunManifest`;
+* a Chrome trace-event exporter (Perfetto-loadable), plus the per-run
+  provenance :class:`~repro.obs.manifest.RunManifest`;
 * the ``repro-trace`` CLI summarizing a trace into a per-phase table.
 
 Environment:
@@ -35,13 +34,7 @@ engine within noise of ``REPRO_OBS=off`` (enforced by
 
 from __future__ import annotations
 
-from repro.obs.exporters import (
-    chrome_trace,
-    prometheus_text,
-    spans_to_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.obs.exporters import chrome_trace, write_chrome_trace
 from repro.obs.manifest import RunManifest, git_revision
 from repro.obs.registry import (
     CardinalityError,
@@ -55,7 +48,6 @@ from repro.obs.tracing import (
     TRACER,
     SpanRecord,
     Tracer,
-    carry_context,
     current_span_id,
     span,
 )
@@ -69,20 +61,16 @@ __all__ = [
     "RunManifest",
     "SpanRecord",
     "Tracer",
-    "carry_context",
     "chrome_trace",
     "configure",
     "current_span_id",
     "enabled",
     "git_revision",
-    "prometheus_text",
     "registry",
     "reset",
     "span",
-    "spans_to_jsonl",
     "tracer",
     "write_chrome_trace",
-    "write_jsonl",
 ]
 
 _REGISTRY = MetricsRegistry()
@@ -103,7 +91,9 @@ def enabled() -> bool:
     return STATE.enabled
 
 
-def configure(
+# benchmarks/bench_obs.py and examples/trace_quickstart.py switch
+# tracing with this; the programs read REPRO_OBS from the environment.
+def configure(  # reprolint: disable=dead-code
     *,
     enabled: bool | None = None,
     sample: float | None = None,

@@ -7,9 +7,8 @@ tracked in a :mod:`contextvars` context variable, so
 * plain nested ``with`` blocks chain parent ids on one thread,
 * ``asyncio`` tasks inherit the span that was open when the task was
   created (task creation copies the context),
-* thread-pool work keeps its submitter's span when wrapped with
-  :func:`carry_context` (threads do *not* inherit context
-  automatically),
+* thread-pool work does *not* inherit its submitter's span (threads
+  do not copy the context; ``asyncio.to_thread`` does),
 * process-pool work ships ``current_span_id()`` explicitly and the
   worker's finished spans travel back as picklable records (see
   :meth:`Tracer.drain` / :meth:`Tracer.ingest`); span ids embed the
@@ -44,7 +43,6 @@ __all__ = [
     "SpanRecord",
     "Tracer",
     "span",
-    "carry_context",
     "current_span_id",
 ]
 
@@ -121,21 +119,6 @@ def _next_id() -> int:
 def current_span_id() -> int | None:
     """Id of the innermost open span in this context (None outside)."""
     return _CURRENT.get()
-
-
-def carry_context(fn):
-    """Bind the *current* context to ``fn`` for thread-pool submission.
-
-    ``executor.submit(carry_context(work), ...)`` makes spans opened in
-    the worker thread children of the span open at submission time.
-    """
-    ctx = contextvars.copy_context()
-
-    @functools.wraps(fn)
-    def bound(*args, **kwargs):
-        return ctx.run(fn, *args, **kwargs)
-
-    return bound
 
 
 @dataclass(slots=True)

@@ -19,7 +19,7 @@ from repro.service.protocol import (
     parse_qos_request,
     parse_stream_open,
 )
-from repro.service.server import PartitionService, serve
+from repro.service.server import PartitionService
 from repro.service.sessions import SessionLimitError, SessionManager, StreamSession
 from repro.service.shedding import AdmissionController, Deadline, DeadlineExceeded
 from repro.service.supervisor import Supervisor
@@ -50,5 +50,4 @@ __all__ = [
     "parse_partition_request",
     "parse_qos_request",
     "parse_stream_open",
-    "serve",
 ]

@@ -10,8 +10,8 @@ Since the :mod:`repro.obs` unification, every observation is mirrored
 into the process-wide :class:`~repro.obs.registry.MetricsRegistry`
 (``service.requests``, ``service.errors``, ``service.timeouts``,
 ``service.latency_ms``, ``service.batches``, ...), so the same series
-show up in the Prometheus/JSON exporters alongside engine, runner and
-cache telemetry.  The ``/metrics`` JSON keeps its original field names
+show up in the registry snapshot alongside engine, runner and cache
+telemetry.  The ``/metrics`` JSON keeps its original field names
 -- the snapshot shape here is an API.  Both the ``endpoints`` section
 and the registry key a request by the same bounded label: its route
 (stream session ids become ``{id}``, query strings are dropped).  Every

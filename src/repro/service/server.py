@@ -88,7 +88,7 @@ from repro.util.cache import config_digest
 from repro.util.errors import ConfigurationError, InfeasibleError
 from repro.util.shmcache import SharedResultCache
 
-__all__ = ["PartitionService", "serve"]
+__all__ = ["PartitionService"]
 
 
 if sys.version_info >= (3, 11):
@@ -925,7 +925,11 @@ class PartitionService:
         }
 
 
-def _solve_one_partition(request: PartitionRequest) -> np.ndarray:
+# benchmarks/bench_service.py times this naive path against the
+# batched one (CI's bench smoke gates the ratio).
+def _solve_one_partition(  # reprolint: disable=dead-code
+    request: PartitionRequest,
+) -> np.ndarray:
     """The naive path: one scalar solve per request (no stacking)."""
     api = request.api if request.api is not None else (1.0,) * request.n_apps
     workload = Workload.of(
@@ -956,33 +960,3 @@ def _parse_json(body: bytes):
 
 def _method_not_allowed(method: str) -> tuple[int, dict]:
     return 405, error_body("MethodNotAllowed", f"method {method} not allowed")
-
-
-async def serve(
-    config: ServiceConfig | None = None,
-    *,
-    stop_event: asyncio.Event | None = None,
-    ready: asyncio.Event | None = None,
-    on_ready=None,
-) -> None:
-    """Run a service until ``stop_event`` is set (or forever).
-
-    ``ready`` is set (and ``on_ready(service)`` called) once the
-    listener is bound -- used by in-process embedders and the load
-    generator to learn the ephemeral port.
-    """
-    service = PartitionService(config)
-    await service.start()
-    if on_ready is not None:
-        on_ready(service)
-    if ready is not None:
-        ready.set()
-    try:
-        if stop_event is None:
-            await service.serve_forever()
-        else:
-            await stop_event.wait()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await service.stop()

@@ -7,8 +7,6 @@ from repro.sim.dram import (
     ddr2_400,
     ddr2_800,
     ddr2_1600,
-    ddr3_1066,
-    scaled_bandwidth,
 )
 from repro.sim.engine import Engine, SimConfig, run_alone, simulate
 from repro.sim.mc import (
@@ -32,8 +30,6 @@ __all__ = [
     "ddr2_400",
     "ddr2_800",
     "ddr2_1600",
-    "ddr3_1066",
-    "scaled_bandwidth",
     "Engine",
     "SimConfig",
     "run_alone",

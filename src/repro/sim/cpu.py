@@ -123,10 +123,6 @@ class CoreSim:
         "_gap_start",
         "_gap_cycles",
         "_gap_instr",
-        "n_reads",
-        "n_writes",
-        "stall_cycles",
-        "_stall_start",
     )
 
     def __init__(
@@ -161,11 +157,6 @@ class CoreSim:
         self._gap_start = 0.0
         self._gap_cycles = 0.0
         self._gap_instr = 0.0
-        # counters
-        self.n_reads = 0
-        self.n_writes = 0
-        self.stall_cycles = 0.0
-        self._stall_start = 0.0
 
     # ------------------------------------------------------------------
     # instruction accounting
@@ -228,15 +219,12 @@ class CoreSim:
         req = Request(self.core_id, addr, is_write, now, channel, bank, row)
         if is_write:
             self.pending_writes += 1
-            self.n_writes += 1
         else:
             self.outstanding_reads += 1
-            self.n_reads += 1
 
         if self.outstanding_reads < self._mlp and self.pending_writes < self._wq_cap:
             return req, self._begin_gap(now)
         self.running = False
-        self._stall_start = now
         return req, None
 
     def complete_read(self, now: float) -> float | None:
@@ -255,7 +243,6 @@ class CoreSim:
             or self.pending_writes >= self._wq_cap
         ):
             return None
-        self.stall_cycles += now - self._stall_start
         self.running = True
         return self._begin_gap(now)
 
@@ -271,7 +258,6 @@ class CoreSim:
             or writes >= self._wq_cap
         ):
             return None
-        self.stall_cycles += now - self._stall_start
         self.running = True
         return self._begin_gap(now)
 

@@ -8,8 +8,6 @@ from repro.sim.dram.config import (
     ddr2_400,
     ddr2_800,
     ddr2_1600,
-    ddr3_1066,
-    scaled_bandwidth,
 )
 from repro.sim.dram.system import DRAMSystem
 
@@ -22,7 +20,5 @@ __all__ = [
     "ddr2_400",
     "ddr2_800",
     "ddr2_1600",
-    "ddr3_1066",
-    "scaled_bandwidth",
     "DRAMSystem",
 ]

@@ -46,7 +46,6 @@ class Channel:
         "banks",
         "bus_free",
         "bus_busy_cycles",
-        "n_served",
         "_last_was_write",
         "_next_refresh",
         "n_refreshes",
@@ -71,7 +70,6 @@ class Channel:
         self.bus_free: float = 0.0
         #: total cycles the data bus has been occupied (for utilization)
         self.bus_busy_cycles: float = 0.0
-        self.n_served: int = 0
         #: was the last data burst a write? (bus-turnaround tracking)
         self._last_was_write: bool | None = None
         #: cycle of the next periodic refresh (inf when disabled)
@@ -219,7 +217,6 @@ class Channel:
         bank.n_accesses += 1
         self.bus_free = data_end
         self.bus_busy_cycles += self._burst
-        self.n_served += 1
         self._last_was_write = is_write
         return data_end
 

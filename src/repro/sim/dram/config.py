@@ -27,8 +27,6 @@ __all__ = [
     "ddr2_400",
     "ddr2_800",
     "ddr2_1600",
-    "ddr3_1066",
-    "scaled_bandwidth",
 ]
 
 
@@ -165,37 +163,3 @@ def ddr2_800() -> DRAMConfig:
 def ddr2_1600() -> DRAMConfig:
     """12.8 GB/s: bus frequency x4, latencies unchanged (Sec. VI-C)."""
     return ddr2_400().with_bus_scale(4.0, name="DDR2-1600")
-
-
-def scaled_bandwidth(gigabytes_per_sec: float) -> DRAMConfig:
-    """A config with the requested peak GB/s (base latencies retained)."""
-    base = ddr2_400()
-    factor = gigabytes_per_sec / base.peak_gigabytes_per_sec()
-    return base.with_bus_scale(factor, name=f"DDR2-{gigabytes_per_sec:g}GBs")
-
-
-def ddr3_1066() -> DRAMConfig:
-    """A DDR3-1066-class part (what-if beyond the paper's DDR2 line).
-
-    Unlike the Sec. VI-C scaling — which changes only the bus frequency —
-    a real generation step also moves the latency/refresh parameters:
-    8.5 GB/s peak (64 B line in 7.5 ns = 37.5 CPU cycles at 5 GHz),
-    tRP = tRCD = CL ≈ 13.1 ns (65.5 cycles), 8 banks per rank across
-    2 ranks, longer tRFC.  Used by what-if studies and tests; the
-    paper's exhibits stay on the DDR2 line.
-    """
-    return DRAMConfig(
-        name="DDR3-1066",
-        n_channels=1,
-        n_ranks=2,
-        n_banks=8,
-        burst_cycles=37.5,
-        trp_cycles=65.5,
-        trcd_cycles=65.5,
-        cl_cycles=65.5,
-        twr_cycles=75.0,
-        twtr_cycles=37.5,
-        trtw_cycles=10.0,
-        trefi_cycles=39_000.0,
-        trfc_cycles=800.0,
-    )

@@ -293,7 +293,6 @@ class Engine:
                 app_id = req.app_id
                 c = counters[app_id]
                 c.latency_sum += now - req.created
-                c.latency_count += 1
                 if req.is_write:
                     c.writes_served += 1
                     resumed = drain_write[app_id](now)
@@ -404,9 +403,7 @@ class Engine:
             self.counters[i].interference_cycles = self._interf[i]
             delta = self.counters[i].minus(self._warmup_snapshot[i])
             accesses = delta.reads_served + delta.writes_served
-            mean_lat = (
-                delta.latency_sum / delta.latency_count if delta.latency_count else 0.0
-            )
+            mean_lat = delta.latency_sum / accesses if accesses else 0.0
             # close the final profiling epoch implicitly over the window
             t_alone = max(window - delta.interference_cycles, 1.0)
             est = min(accesses / t_alone, self.config.dram.peak_apc)

@@ -87,8 +87,6 @@ class Scheduler(ABC):
         self.n_apps = n_apps
         self.queues: list[Deque[Request]] = [deque() for _ in range(n_apps)]
         self.total_queued = 0
-        self.n_enqueued = 0
-        self.n_served = 0
         #: the queue index -- per-app {channel: pending count} and
         #: {channel: pending count} across all apps -- or None until the
         #: first per-channel question (see _channel_index)
@@ -101,7 +99,6 @@ class Scheduler(ABC):
         app_id = request.app_id
         self.queues[app_id].append(request)
         self.total_queued += 1
-        self.n_enqueued += 1
         index = self._chan_index
         if index is not None:
             per_app, total = index
@@ -199,7 +196,6 @@ class Scheduler(ABC):
             except ValueError:  # pragma: no cover - defensive
                 raise SimulationError(f"request {req.seq} not queued") from None
         self.total_queued -= 1
-        self.n_served += 1
         index = self._chan_index
         if index is None:
             return req

@@ -25,7 +25,9 @@ from repro.sim.request import Request
 __all__ = ["FRFCFSScheduler"]
 
 
-class FRFCFSScheduler(Scheduler):
+# Paper content: FR-FCFS, the row-hit-first throughput baseline of
+# Sec. II-A1; tests/sim/make_golden.py pins it as an engine golden.
+class FRFCFSScheduler(Scheduler):  # reprolint: disable=dead-code
     """Row-hit-first, then ready-oldest, then oldest.
 
     Parameters

@@ -27,7 +27,6 @@ class AppCounters:
     reads_served: int = 0
     writes_served: int = 0
     latency_sum: float = 0.0
-    latency_count: int = 0
     interference_cycles: float = 0.0
 
     def snapshot(self) -> "AppCounters":
@@ -36,7 +35,6 @@ class AppCounters:
             reads_served=self.reads_served,
             writes_served=self.writes_served,
             latency_sum=self.latency_sum,
-            latency_count=self.latency_count,
             interference_cycles=self.interference_cycles,
         )
 
@@ -46,7 +44,6 @@ class AppCounters:
             reads_served=self.reads_served - other.reads_served,
             writes_served=self.writes_served - other.writes_served,
             latency_sum=self.latency_sum - other.latency_sum,
-            latency_count=self.latency_count - other.latency_count,
             interference_cycles=self.interference_cycles - other.interference_cycles,
         )
 

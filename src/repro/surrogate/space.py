@@ -195,11 +195,6 @@ class SweepSettings:
         )
         return n_cells * self.groups_per_cell
 
-    @property
-    def n_samples_per_scheme(self) -> int:
-        """Training rows each scheme's fit sees (one per app per group)."""
-        return self.n_groups * self.group_size
-
 
 def sample_groups(
     settings: SweepSettings,

@@ -7,13 +7,8 @@ from repro.util.errors import (
     ReproError,
     SimulationError,
 )
-from repro.util.rng import RngStream, spawn_streams
-from repro.util.validation import (
-    check_finite,
-    check_positive,
-    check_probability,
-    check_same_length,
-)
+from repro.util.rng import RngStream
+from repro.util.validation import check_positive, check_probability
 
 __all__ = [
     "CacheStats",
@@ -24,9 +19,6 @@ __all__ = [
     "InfeasibleError",
     "SimulationError",
     "RngStream",
-    "spawn_streams",
-    "check_finite",
     "check_positive",
     "check_probability",
-    "check_same_length",
 ]

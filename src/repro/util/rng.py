@@ -10,11 +10,10 @@ order, which the reproduction experiments rely on.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable
 
 import numpy as np
 
-__all__ = ["RngStream", "spawn_streams", "derive_seed"]
+__all__ = ["RngStream", "derive_seed"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,8 +80,3 @@ class RngStream:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(name={self.name!r}, seed={self.seed:#x})"
-
-
-def spawn_streams(root_seed: int, names: Iterable[str]) -> dict[str, RngStream]:
-    """Create one stream per name, all derived from ``root_seed``."""
-    return {name: RngStream(root_seed, name) for name in names}

@@ -7,20 +7,13 @@ readably instead of surfacing as NaNs deep inside an experiment.
 
 from __future__ import annotations
 
-import math
-from typing import Sequence, Sized
+from typing import Sequence
 
 import numpy as np
 
 from repro.util.errors import ConfigurationError
 
-__all__ = [
-    "check_positive",
-    "check_nonnegative",
-    "check_probability",
-    "check_finite",
-    "check_same_length",
-]
+__all__ = ["check_positive", "check_probability"]
 
 
 def check_positive(name: str, value: float) -> float:
@@ -30,34 +23,11 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
-def check_nonnegative(name: str, value: float) -> float:
-    """Require ``value >= 0``; return it for chaining."""
-    if not (value >= 0):
-        raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
 def check_probability(name: str, value: float) -> float:
     """Require ``0 <= value <= 1``; return it for chaining."""
     if not (0.0 <= value <= 1.0):
         raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
     return value
-
-
-def check_finite(name: str, value: float) -> float:
-    """Require a finite float; return it for chaining."""
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def check_same_length(name_a: str, a: Sized, name_b: str, b: Sized) -> None:
-    """Require two sequences to have equal length."""
-    if len(a) != len(b):
-        raise ConfigurationError(
-            f"{name_a} and {name_b} must have the same length "
-            f"({len(a)} != {len(b)})"
-        )
 
 
 def as_float_array(name: str, values: Sequence[float]) -> np.ndarray:

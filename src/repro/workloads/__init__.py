@@ -16,7 +16,6 @@ from repro.workloads.nonstationary import (
     phase_swap_workload,
     ramp_workload,
     scenario,
-    scenario_names,
 )
 from repro.workloads.mixes import (
     HETERO_MIXES,
@@ -25,14 +24,12 @@ from repro.workloads.mixes import (
     QOS_MIXES,
     mix_benchmarks,
     mix_core_specs,
-    mix_names,
     mix_paper_workload,
 )
 from repro.workloads.spec import (
     TABLE3,
     BenchmarkSpec,
     benchmark,
-    benchmark_names,
     paper_profile,
 )
 from repro.workloads.tracegen import MissAddressStream, StreamSpec
@@ -44,12 +41,10 @@ __all__ = [
     "QOS_MIXES",
     "mix_benchmarks",
     "mix_core_specs",
-    "mix_names",
     "mix_paper_workload",
     "TABLE3",
     "BenchmarkSpec",
     "benchmark",
-    "benchmark_names",
     "paper_profile",
     "MissAddressStream",
     "StreamSpec",
@@ -62,5 +57,4 @@ __all__ = [
     "phase_swap_workload",
     "ramp_workload",
     "scenario",
-    "scenario_names",
 ]

@@ -19,7 +19,6 @@ __all__ = [
     "HOMO_MIXES",
     "HETERO_MIXES",
     "QOS_MIXES",
-    "mix_names",
     "mix_benchmarks",
     "mix_core_specs",
     "mix_paper_workload",
@@ -51,11 +50,6 @@ QOS_MIXES: dict[str, tuple[str, str, str, str]] = {
     "Mix-1": ("lbm", "libquantum", "omnetpp", "hmmer"),
     "Mix-2": ("h264ref", "zeusmp", "leslie3d", "hmmer"),
 }
-
-
-def mix_names() -> tuple[str, ...]:
-    """All Table IV mix names, homo first (the paper's column order)."""
-    return HOMO_MIXES + HETERO_MIXES
 
 
 def mix_benchmarks(name: str):

@@ -57,7 +57,6 @@ __all__ = [
     "phase_swap_workload",
     "SCENARIOS",
     "scenario",
-    "scenario_names",
 ]
 
 #: generators keep per-phase demand at or below this fraction of the
@@ -455,7 +454,3 @@ def scenario(name: str, **overrides: object) -> NonStationaryWorkload:
             f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}"
         ) from None
     return factory(**overrides)  # type: ignore[arg-type]
-
-
-def scenario_names() -> tuple[str, ...]:
-    return tuple(SCENARIOS)

@@ -33,7 +33,6 @@ __all__ = [
     "BenchmarkSpec",
     "TABLE3",
     "benchmark",
-    "benchmark_names",
     "paper_profile",
     "mlp_for_apkc",
 ]
@@ -188,11 +187,6 @@ def benchmark(name: str) -> BenchmarkSpec:
         raise ConfigurationError(
             f"unknown benchmark {name!r}; available: {sorted(TABLE3)}"
         ) from None
-
-
-def benchmark_names() -> tuple[str, ...]:
-    """Names in Table III order (descending APKC_alone)."""
-    return tuple(TABLE3)
 
 
 def paper_profile(name: str) -> AppProfile:

@@ -5,8 +5,6 @@ import pytest
 
 from repro.core import (
     BandwidthUnit,
-    apc_to_bytes_per_sec,
-    bytes_per_sec_to_apc,
     capped_allocation,
     greedy_allocation,
     normalize_shares,
@@ -24,10 +22,6 @@ class TestBandwidthUnit:
         unit = BandwidthUnit()
         for apc in (0.001, 0.01, 0.1):
             assert unit.to_apc(unit.to_bytes_per_sec(apc)) == pytest.approx(apc)
-
-    def test_module_level_wrappers(self):
-        assert apc_to_bytes_per_sec(0.01) == pytest.approx(3.2e9)
-        assert bytes_per_sec_to_apc(3.2e9) == pytest.approx(0.01)
 
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigurationError):

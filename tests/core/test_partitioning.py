@@ -6,7 +6,6 @@ import pytest
 from repro.core import (
     SCHEME_ORDER,
     EqualPartitioning,
-    ExplicitShares,
     NoPartitioningModel,
     PowerPartitioning,
     PriorityAPC,
@@ -173,24 +172,6 @@ class TestNoPartitioningModel:
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ConfigurationError):
             NoPartitioningModel(gamma=0.9)
-
-
-class TestExplicitShares:
-    def test_roundtrip(self, hetero_workload):
-        beta = np.array([0.4, 0.3, 0.2, 0.1])
-        scheme = ExplicitShares(beta)
-        np.testing.assert_allclose(scheme.beta(hetero_workload), beta)
-
-    def test_invalid_shares_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExplicitShares(np.array([0.5, 0.6]))
-        with pytest.raises(ConfigurationError):
-            ExplicitShares(np.array([-0.1, 1.1]))
-
-    def test_length_mismatch_rejected(self, hetero_workload):
-        scheme = ExplicitShares(np.array([0.5, 0.5]))
-        with pytest.raises(ConfigurationError):
-            scheme.beta(hetero_workload)
 
 
 class TestRegistry:

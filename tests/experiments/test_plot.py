@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.plot import bar_chart, grouped_bar_chart, hbar
+from repro.experiments.plot import bar_chart, hbar
 from repro.util.errors import ConfigurationError
 
 
@@ -56,29 +56,6 @@ class TestBarChart:
         text = bar_chart({"big": 3.0, "small": 0.3}, baseline=None, width=20)
         big_line = next(l for l in text.splitlines() if l.startswith("big"))
         assert big_line.count("#") == 20
-
-
-class TestGroupedBarChart:
-    def test_one_block_per_group(self):
-        grid = {
-            "hetero-5": {"sqrt": 1.3, "prop": 1.2},
-            "hetero-6": {"sqrt": 1.5, "prop": 1.4},
-        }
-        text = grouped_bar_chart(grid, title="Figure 2 (hsp)")
-        assert text.count("[hetero-") == 2
-        assert "Figure 2 (hsp)" in text
-
-    def test_column_order_respected(self):
-        grid = {"g": {"z": 1.0, "a": 2.0}}
-        text = grouped_bar_chart(grid, columns=["z", "a"])
-        lines = text.splitlines()
-        z_idx = next(i for i, l in enumerate(lines) if l.startswith("z"))
-        a_idx = next(i for i, l in enumerate(lines) if l.startswith("a"))
-        assert z_idx < a_idx
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            grouped_bar_chart({})
 
     def test_renders_real_figure1(self, runner):
         """The Figure 1 result renders as a chart without error."""

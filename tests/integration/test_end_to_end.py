@@ -19,7 +19,6 @@ from repro.core import (
     SquareRootPartitioning,
     Workload,
 )
-from repro.core.qos import admit_targets
 from repro.sim import (
     FCFSScheduler,
     SimConfig,
@@ -103,8 +102,8 @@ class TestModelPredictsSimulator:
 
 class TestQoSAdmissionOnSimulator:
     def test_admitted_plan_holds_on_simulator(self, profiled):
-        """Admission control's plan, enforced via STF, actually delivers
-        every admitted IPC target in the cycle-level simulator."""
+        """A QoS plan, enforced via STF, actually delivers every IPC
+        target in the cycle-level simulator."""
         specs, profiles, _ = profiled
         light_apps = sorted(
             profiles, key=lambda a: a.apc_alone
@@ -112,28 +111,15 @@ class TestQoSAdmissionOnSimulator:
         targets = [
             QoSTarget(a.name, a.ipc_alone * 0.7) for a in light_apps
         ]
-        result = admit_targets(
-            profiles, 0.0094, targets, best_effort_floor=0.001
-        )
-        assert result.n_admitted >= 1
+        plan = QoSPartitioner().plan(profiles, 0.0094, targets)
         sim = simulate(
             specs,
-            lambda n, b=result.plan.beta: StartTimeFairScheduler(n, b),
+            lambda n, b=plan.beta: StartTimeFairScheduler(n, b),
             CFG,
         )
-        for t in result.admitted:
+        for t in targets:
             i = profiles.index_of(t.app_name)
             assert sim.ipc_shared[i] >= t.ipc_target * 0.88, t
-
-    def test_planner_matches_partitioner(self, profiled):
-        _, profiles, _ = profiled
-        app = min(profiles, key=lambda a: a.apc_alone)
-        target = QoSTarget(app.name, app.ipc_alone * 0.5)
-        direct = QoSPartitioner().plan(profiles, 0.0094, [target])
-        admitted = admit_targets(profiles, 0.0094, [target])
-        np.testing.assert_allclose(
-            direct.apc_shared, admitted.plan.apc_shared
-        )
 
 
 class TestFrontierOnSimulator:

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON and span JSON-lines."""
+"""Exporter: Chrome trace-event JSON."""
 
 from __future__ import annotations
 
@@ -44,16 +44,3 @@ class TestChromeTrace:
         doc = json.loads(path.read_text())
         assert len([e for e in doc["traceEvents"] if e["ph"] == "X"]) == 3
 
-
-class TestJsonl:
-    def test_round_trip(self, tmp_path):
-        spans = _make_spans()
-        path = tmp_path / "spans.jsonl"
-        obs.write_jsonl(path, spans)
-        lines = [json.loads(x) for x in path.read_text().splitlines()]
-        assert [o["name"] for o in lines] == [s.name for s in spans]
-        assert lines[0]["attrs"] == {"i": 0}
-        assert isinstance(lines[0]["span_id"], int)
-
-    def test_empty_input_is_empty_output(self):
-        assert obs.spans_to_jsonl([]) == ""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -50,7 +51,12 @@ def _trace_file(tmp_path, fmt):
     if fmt == "json":
         obs.write_chrome_trace(path, obs.tracer().spans())
     else:
-        obs.write_jsonl(path, obs.tracer().spans())
+        path.write_text(
+            "".join(
+                json.dumps(dataclasses.asdict(s)) + "\n"
+                for s in obs.tracer().spans()
+            )
+        )
     return path
 
 

@@ -97,30 +97,6 @@ class TestSnapshotAndExport:
             {"labels": {"cache": "sim"}, "value": 3.0}
         ]
 
-    def test_prometheus_text_format(self):
-        reg = MetricsRegistry()
-        reg.counter("cache.hits", cache="sim").inc(2)
-        reg.gauge("parallel.workers").set(8)
-        h = reg.histogram("service.latency_ms", path="/v1/partition")
-        h.observe(1.5)
-        text = obs.prometheus_text(reg)
-        assert "# TYPE cache_hits counter" in text
-        assert 'cache_hits{cache="sim"} 2.0' in text
-        assert "# TYPE parallel_workers gauge" in text
-        assert "parallel_workers 8.0" in text
-        assert "# TYPE service_latency_ms summary" in text
-        assert 'service_latency_ms_count{path="/v1/partition"} 1' in text
-        assert 'quantile="0.5"' in text
-
-    def test_prometheus_text_emits_min_and_max(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("service.latency_ms", path="/v1/partition")
-        for v in (4.0, 1.5, 9.0):
-            h.observe(v)
-        text = obs.prometheus_text(reg)
-        assert 'service_latency_ms_min{path="/v1/partition"} 1.5' in text
-        assert 'service_latency_ms_max{path="/v1/partition"} 9.0' in text
-
     def test_global_registry_is_process_wide(self):
         obs.registry().counter("global.check").inc()
         assert obs.registry().get_value("global.check") == 1.0

@@ -6,7 +6,7 @@ the exact total and histogram aggregates stay internally consistent.
 The forkserver case pins the other half of the story -- instruments
 hold ``threading.Lock`` objects, so a registry must be *created inside*
 a worker process (never pickled into one), and a fresh start method
-must produce the same exact totals and parseable Prometheus text.
+must produce the same exact totals and snapshot.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import threading
 
 import pytest
 
-from repro.obs.exporters import prometheus_text
 from repro.obs.registry import MetricsRegistry
 
 N_THREADS = 8
@@ -45,13 +44,13 @@ def _run_threads(reg: MetricsRegistry, n_threads: int, n: int) -> None:
         t.join()
 
 
-def _forkserver_report(n: int) -> tuple[float, int, str]:
+def _forkserver_report(n: int) -> tuple[float, int, dict]:
     """Worker entry point (module top level so forkserver can import it)."""
     reg = MetricsRegistry()
     _run_threads(reg, N_THREADS, n)
     total = reg.get_value("conc.requests", path="/x")
     hist = reg.histogram("conc.latency_ms", reservoir=256)
-    return float(total), hist.snapshot()["count"], prometheus_text(reg)
+    return float(total), hist.snapshot()["count"], reg.snapshot()
 
 
 class TestThreadSafety:
@@ -83,7 +82,7 @@ class TestThreadSafety:
         assert all(c is found[0] for c in found)
 
     def test_export_is_stable_while_threads_write(self):
-        """Exporting mid-hammer never crashes or emits unparseable lines."""
+        """Snapshotting mid-hammer never crashes or emits a non-number."""
         reg = MetricsRegistry()
         writers = [
             threading.Thread(target=_hammer, args=(reg, N_PER_THREAD))
@@ -93,18 +92,18 @@ class TestThreadSafety:
             t.start()
         try:
             for _ in range(50):
-                text = prometheus_text(reg)
-                for line in text.splitlines():
-                    if line.startswith("#") or not line:
-                        continue
-                    # every sample line ends in a parseable float
-                    float(line.rsplit(" ", 1)[1])
+                for entry in reg.snapshot().values():
+                    for series in entry["series"]:
+                        value = series["value"]
+                        if isinstance(value, dict):  # a histogram
+                            value = value["max"]
+                        float(value)
         finally:
             for t in writers:
                 t.join()
-        # after the writers drain, the export shows the exact total
-        final = prometheus_text(reg)
-        assert f'conc_requests{{path="/x"}} {4 * N_PER_THREAD}.0' in final
+        # after the writers drain, the snapshot shows the exact total
+        final = reg.snapshot()["conc.requests"]["series"]
+        assert final == [{"labels": {"path": "/x"}, "value": 4.0 * N_PER_THREAD}]
 
 
 class TestForkserverWorker:
@@ -114,13 +113,16 @@ class TestForkserverWorker:
         except ValueError:  # platform without forkserver
             pytest.skip("forkserver start method unavailable")
         with ctx.Pool(processes=1) as pool:
-            total, hist_count, text = pool.apply(
+            total, hist_count, snap = pool.apply(
                 _forkserver_report, (N_PER_THREAD // 4,)
             )
         expected = N_THREADS * (N_PER_THREAD // 4)
         assert total == float(expected)
         assert hist_count == expected
-        assert f'conc_requests{{path="/x"}} {expected}.0' in text
-        assert "# TYPE conc_latency_ms summary" in text
-        assert "conc_latency_ms_min" in text
-        assert "conc_latency_ms_max" in text
+        assert snap["conc.requests"]["series"] == [
+            {"labels": {"path": "/x"}, "value": float(expected)}
+        ]
+        latency = snap["conc.latency_ms"]
+        assert latency["kind"] == "histogram"
+        assert latency["series"][0]["value"]["min"] == 0.0
+        assert latency["series"][0]["value"]["max"] == 6.0

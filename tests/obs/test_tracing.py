@@ -243,19 +243,6 @@ class TestRingBuffer:
 
 
 class TestThreads:
-    def test_carry_context_keeps_parent_across_thread_pool(self):
-        def work():
-            with obs.span("threaded"):
-                pass
-
-        with obs.span("submitter") as parent:
-            parent_id = parent.span_id
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                pool.submit(obs.carry_context(work)).result()
-        by = _by_name()
-        assert by["threaded"].parent_id == parent_id
-        assert by["threaded"].tid != by["submitter"].tid
-
     def test_bare_submit_has_no_parent(self):
         def work():
             with obs.span("orphan"):

@@ -30,13 +30,9 @@ from repro.core.batch import (
     batch_allocate,
     batch_capped_allocation,
     batch_greedy_allocation,
-    batch_hsp_proportional,
-    batch_hsp_square_root,
-    batch_power_allocation,
     batch_priority_order,
     batch_qos_plan,
     batch_solve_fractional_knapsack,
-    batch_wsp_square_root,
     row_allocate,
 )
 from repro.util.errors import ConfigurationError
@@ -184,24 +180,24 @@ _rejects("row-prio_api-api-shape",
 _rejects("row-overflowing-weights", lambda: row_allocate("nopart", [1e300, 1e300], 1.0))
 _rejects("row-underflowing-weights", lambda: row_allocate("nopart", [1e-300, 1e-300], 1.0))
 
-for _alpha in (0.0, 0.5, 1.0):
+# the power family (alpha 0, 1/2, 1) through its batch_allocate schemes
+for _alpha, _scheme in ((0.0, "equal"), (0.5, "sqrt"), (1.0, "prop")):
     _rejects(f"power-{_alpha}-nan-demand",
-             lambda a=_alpha: batch_power_allocation(NAN_A, B, a))
+             lambda s=_scheme: batch_allocate(s, NAN_A, B))
     _rejects(f"power-{_alpha}-zero-budget",
-             lambda a=_alpha: batch_power_allocation(A, ZERO_B, a))
+             lambda s=_scheme: batch_allocate(s, A, ZERO_B))
     _rejects(f"power-{_alpha}-budget-shape",
-             lambda a=_alpha: batch_power_allocation(A, SHORT_B, a))
-_rejects("power-nan-alpha", lambda: batch_power_allocation(A, B, float("nan")))
+             lambda s=_scheme: batch_allocate(s, A, SHORT_B))
 _rejects("power-all-zero-demand",
-         lambda: batch_power_allocation(np.zeros_like(A), B, 0.5))
+         lambda: batch_allocate("sqrt", np.zeros_like(A), B))
 _rejects("power-negative-demand",
-         lambda: batch_power_allocation(_with(A, -1e-3), B, 0.5))
+         lambda: batch_allocate("sqrt", _with(A, -1e-3), B))
 _rejects("power-negative-weights",
-         lambda: batch_power_allocation(_with(A, -1e-3), B, 1.0))
+         lambda: batch_allocate("prop", _with(A, -1e-3), B))
 # the weights overflow to an infinite total: the derived shares are all
 # zero, so the rows do not sum to 1
 _rejects("power-overflowing-weights",
-         lambda: batch_power_allocation(np.full((1, 2), 1e308), 1.0, 1.0))
+         lambda: batch_allocate("prop", np.full((1, 2), 1e308), 1.0))
 
 _rejects("capped-nan-beta", lambda: batch_capped_allocation(_with(BETA, np.nan), B, A))
 _rejects("capped-nan-demand", lambda: batch_capped_allocation(BETA, B, NAN_A))
@@ -251,13 +247,6 @@ _rejects("qos-inf-target", lambda: batch_qos_plan(A, P, _with(TARGETS, np.inf), 
 _rejects("qos-no-targets", lambda: batch_qos_plan(A, P, np.full_like(A, np.nan), B))
 _rejects("qos-unknown-objective",
          lambda: batch_qos_plan(A, P, TARGETS, B, objective="speed"))
-
-for _closed in (batch_hsp_square_root, batch_wsp_square_root, batch_hsp_proportional):
-    _name = _closed.__name__
-    _rejects(f"{_name}-nan-demand", lambda f=_closed: f(NAN_A, B))
-    _rejects(f"{_name}-zero-demand", lambda f=_closed: f(np.zeros_like(A), B))
-    _rejects(f"{_name}-nan-budget", lambda f=_closed: f(A, NAN_B))
-    _rejects(f"{_name}-budget-shape", lambda f=_closed: f(A, SHORT_B))
 
 
 @pytest.mark.parametrize("call", _cases)

@@ -1,8 +1,6 @@
-"""Property-based tests for QoS planning and admission control."""
+"""Property-based tests for QoS planning."""
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AppProfile, QoSPartitioner, QoSTarget, Workload
-from repro.core.qos import admit_targets
 from repro.util.errors import InfeasibleError
 
 
@@ -62,41 +59,3 @@ class TestPlanProperties:
             assert op.ipc_shared[i] == pytest.approx(t.ipc_target, rel=1e-9)
         assert plan.apc_shared.sum() <= b + 1e-9
         assert np.all(plan.apc_shared <= wl.apc_alone + 1e-12)
-
-
-class TestAdmissionCountOptimality:
-    @given(qos_scenario())
-    @settings(max_examples=60, deadline=None)
-    def test_greedy_admits_maximum_count(self, scenario):
-        """Cheap-first admission matches the brute-force maximum subset
-        size (small n makes exhaustive checking cheap)."""
-        wl, b, targets = scenario
-        feasible = [
-            t
-            for t in targets
-            if t.ipc_target <= wl[wl.index_of(t.app_name)].ipc_alone + 1e-12
-        ]
-        cost = {
-            t.app_name: t.ipc_target * wl[wl.index_of(t.app_name)].api
-            for t in targets
-        }
-        best = 0
-        for k in range(len(feasible), 0, -1):
-            if any(
-                sum(cost[t.app_name] for t in combo) <= b + 1e-12
-                for combo in combinations(feasible, k)
-            ):
-                best = k
-                break
-        result = admit_targets(wl, b, targets, policy="max-count")
-        assert result.n_admitted == best
-
-    @given(qos_scenario())
-    @settings(max_examples=60, deadline=None)
-    def test_admitted_set_is_plannable(self, scenario):
-        wl, b, targets = scenario
-        result = admit_targets(wl, b, targets)
-        if result.plan is not None:
-            assert result.plan.b_qos <= b + 1e-9
-        # rejected + admitted = input
-        assert len(result.admitted) + len(result.rejected) == len(targets)

@@ -71,18 +71,21 @@ def _check_index(sched: Scheduler) -> None:
     assert sched.total_queued == sum(len(q) for q in sched.queues)
 
 
-def _drive(sched: Scheduler, ops) -> None:
+def _drive(sched: Scheduler, ops) -> tuple[int, int]:
+    """Run ``ops``; return (requests enqueued, non-None selects)."""
     now = 0.0
     n = 0
+    served = 0
     for app, chan, serve, serve_chan in ops:
         now += 1.0
         if serve and sched.total_queued:
-            sched.select(now, channel=serve_chan)
+            served += sched.select(now, channel=serve_chan) is not None
         else:
             req = Request(app, n, bool(n % 5 == 0), now, channel=chan)
             n += 1
             sched.enqueue(req, now)
         _check_index(sched)
+    return n, served
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,8 +111,8 @@ def test_priority_index_matches_bruteforce(ops):
 @given(ops=_ops)
 def test_served_plus_queued_is_conserved(ops):
     sched = FCFSScheduler(N_APPS)
-    _drive(sched, ops)
-    assert sched.n_enqueued == sched.n_served + sched.total_queued
+    enqueued, served = _drive(sched, ops)
+    assert enqueued == served + sched.total_queued
 
 
 # ----------------------------------------------------------------------

@@ -418,12 +418,14 @@ def test_stf_head_take_keeps_a_built_index(scenario):
     ref = SortingSTF(n, _beta(weights))
     assert not fast.has_pending(0)  # builds the channel index
     now = 0.0
+    enqueued = served = 0
     for k, op in enumerate(ops):
         now += 1.0
         if op[0] == "enq":
             _, app, _chan, bank = op
             for sched in (fast, ref):
                 sched.enqueue(Request(app, k, False, now, 0, bank), now)
+            enqueued += 1
         elif op[0] == "sel":
             ready = _ready_banks(op[2])
             got = fast.select(now, ready)
@@ -431,12 +433,13 @@ def test_stf_head_take_keeps_a_built_index(scenario):
             assert (got is None) == (want is None)
             if got is not None:
                 assert (got.app_id, got.line_addr) == (want.app_id, want.line_addr)
+                served += 1
         else:
             for sched in (fast, ref):
                 sched.update_shares(_beta(op[1]))
         assert _index_matches_queues(fast)
         assert fast.total_queued == ref.total_queued
-        assert fast.n_served == ref.n_served
+        assert fast.total_queued == enqueued - served
 
 
 @settings(max_examples=60, deadline=None)
@@ -447,12 +450,14 @@ def test_priority_head_take_keeps_a_built_index(scenario):
     ref = PendingListPriority(n, order, starvation_cap=cap)
     assert not fast.has_pending(0)  # builds the channel index
     now = 0.0
+    enqueued = served = 0
     for k, op in enumerate(ops):
         now += 1.0
         if op[0] == "enq":
             _, app, _chan, bank = op
             for sched in (fast, ref):
                 sched.enqueue(Request(app, k, False, now, 0, bank), now)
+            enqueued += 1
         else:
             ready = _ready_banks(op[2])
             got = fast.select(now, ready)
@@ -460,9 +465,10 @@ def test_priority_head_take_keeps_a_built_index(scenario):
             assert (got is None) == (want is None)
             if got is not None:
                 assert (got.app_id, got.line_addr) == (want.app_id, want.line_addr)
+                served += 1
         assert _index_matches_queues(fast)
         assert fast.total_queued == ref.total_queued
-        assert fast.n_served == ref.n_served
+        assert fast.total_queued == enqueued - served
 
 
 @st.composite

@@ -16,16 +16,8 @@ from repro.core import AppProfile, Workload, scheme_by_name, solve_fractional_kn
 from repro.core.batch import (
     BATCH_SCHEMES,
     batch_allocate,
-    batch_hsp_proportional,
-    batch_hsp_square_root,
     batch_qos_plan,
     batch_solve_fractional_knapsack,
-    batch_wsp_square_root,
-)
-from repro.core.closed_form import (
-    hsp_proportional,
-    hsp_square_root,
-    wsp_square_root,
 )
 from repro.core.metrics import metric_by_name
 from repro.core.qos import QoSPartitioner, QoSTarget
@@ -89,20 +81,6 @@ def test_batch_knapsack_bit_identical_quantities():
         assert np.array_equal(sol.fill_order[i], ref.fill_order)
         assert sol.split_item[i] == ref.split_item
         assert sol.objective[i] == pytest.approx(ref.objective, rel=1e-12)
-
-
-def test_batch_closed_forms_bit_identical():
-    rng = np.random.default_rng(11)
-    k, n = 50, 5
-    apc, api, bandwidth = random_problem(rng, k, n)
-    hsp_sqrt = batch_hsp_square_root(apc, bandwidth)
-    wsp_sqrt = batch_wsp_square_root(apc, bandwidth)
-    hsp_prop = batch_hsp_proportional(apc, bandwidth)
-    for i in range(k):
-        workload = workload_of_row(apc[i], api[i])
-        assert hsp_sqrt[i] == hsp_square_root(workload, float(bandwidth[i]))
-        assert wsp_sqrt[i] == wsp_square_root(workload, float(bandwidth[i]))
-        assert hsp_prop[i] == hsp_proportional(workload, float(bandwidth[i]))
 
 
 def test_batch_metric_values_match_scalar_path():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import RngStream, derive_seed, spawn_streams
+from repro.util.rng import RngStream, derive_seed
 
 
 class TestSeedDerivation:
@@ -65,8 +65,3 @@ class TestRngStream:
         s = RngStream(3, "c")
         p = np.array([0.0, 1.0, 0.0])
         assert all(s.choice(3, p) == 1 for _ in range(20))
-
-    def test_spawn_streams(self):
-        streams = spawn_streams(9, ["a", "b"])
-        assert set(streams) == {"a", "b"}
-        assert streams["a"].seed != streams["b"].seed

@@ -11,11 +11,8 @@ from repro.util.errors import (
 )
 from repro.util.validation import (
     as_float_array,
-    check_finite,
-    check_nonnegative,
     check_positive,
     check_probability,
-    check_same_length,
 )
 
 
@@ -38,11 +35,6 @@ class TestCheckers:
         with pytest.raises(ConfigurationError, match="x"):
             check_positive("x", bad)
 
-    def test_check_nonnegative(self):
-        assert check_nonnegative("x", 0.0) == 0.0
-        with pytest.raises(ConfigurationError):
-            check_nonnegative("x", -0.1)
-
     @pytest.mark.parametrize("ok", [0.0, 0.5, 1.0])
     def test_check_probability_accepts(self, ok):
         assert check_probability("p", ok) == ok
@@ -51,16 +43,6 @@ class TestCheckers:
     def test_check_probability_rejects(self, bad):
         with pytest.raises(ConfigurationError):
             check_probability("p", bad)
-
-    def test_check_finite(self):
-        assert check_finite("x", 3.0) == 3.0
-        with pytest.raises(ConfigurationError):
-            check_finite("x", float("inf"))
-
-    def test_check_same_length(self):
-        check_same_length("a", [1, 2], "b", [3, 4])
-        with pytest.raises(ConfigurationError):
-            check_same_length("a", [1], "b", [3, 4])
 
 
 class TestAsFloatArray:

@@ -10,7 +10,6 @@ from repro.workloads.mixes import (
     QOS_MIXES,
     mix_benchmarks,
     mix_core_specs,
-    mix_names,
     mix_paper_workload,
 )
 
@@ -32,11 +31,6 @@ class TestTable4Structure:
     def test_every_mix_has_four_apps(self):
         for members in MIXES.values():
             assert len(members) == 4
-
-    def test_mix_names_order(self):
-        names = mix_names()
-        assert names[:7] == HOMO_MIXES
-        assert names[7:] == HETERO_MIXES
 
     def test_table4_membership_verbatim(self):
         assert MIXES["hetero-5"] == ("libquantum", "milc", "gromacs", "gobmk")

@@ -18,14 +18,13 @@ from repro.workloads import (
     phase_swap_workload,
     ramp_workload,
     scenario,
-    scenario_names,
 )
 from repro.workloads.calibrate import measure_alone_apc
 
 
 class TestRegistry:
     def test_names(self):
-        assert set(scenario_names()) == {
+        assert set(SCENARIOS) == {
             "ramp",
             "alternating",
             "bursty",

@@ -7,7 +7,6 @@ from repro.workloads.spec import (
     TABLE3,
     BenchmarkSpec,
     benchmark,
-    benchmark_names,
     mlp_for_apkc,
     paper_profile,
 )
@@ -47,7 +46,7 @@ class TestTable3Data:
         assert b.intensity == intensity
 
     def test_order_is_descending_apkc(self):
-        apkcs = [TABLE3[n].apkc_alone for n in benchmark_names()]
+        apkcs = [b.apkc_alone for b in TABLE3.values()]
         assert apkcs == sorted(apkcs, reverse=True)
 
     def test_derived_quantities(self):
