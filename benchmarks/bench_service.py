@@ -11,7 +11,8 @@ Two comparisons, both on the closed-form (``sqrt``) endpoint:
    ``solve_partition_rows`` with one request at a time, which takes the
    float row kernel.  This isolates the speedup the service's batching
    exists to capture, without HTTP framing noise.  The acceptance bar
-   is >= 5x.
+   is >= 5x, judged over 10 alternating timing pairs: the run fails
+   only when the batched path misses 5x in at least nine of them.
 
 2. **HTTP path** -- an in-process server on an ephemeral port, hammered
    by concurrent asyncio clients, once with micro-batching enabled and
@@ -103,36 +104,65 @@ def pctl(samples, q):
 # ----------------------------------------------------------------------
 # 1. solve path: naive loop vs vectorized micro-batch
 # ----------------------------------------------------------------------
-def bench_solver(requests, batch_size: int):
-    t0 = time.perf_counter()
-    naive = [
-        partition_response(r, _solve_one_partition(r), batch_size=1)
-        for r in requests
-    ]
-    naive_s = time.perf_counter() - t0
+#: the batched solve path must be at least this many times faster
+SPEEDUP_FLOOR = 5.0
+#: alternating naive/batched timing pairs the solve-path gate judges
+SOLVER_PAIRS = 10
 
-    t0 = time.perf_counter()
-    batched = []
-    for start in range(0, len(requests), batch_size):
-        chunk = requests[start : start + batch_size]
-        rows = solve_partition_rows(chunk)
-        batched.extend(
-            partition_response(r, row, batch_size=len(chunk))
-            for r, row in zip(chunk, rows)
-        )
-    batched_s = time.perf_counter() - t0
 
-    for a, b in zip(naive, batched):
+def _seconds(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def bench_solver(requests, batch_size: int) -> bool:
+    """Time both solve paths in alternating pairs; True if the gate passes.
+
+    Each pair times the naive loop and the batched path over the same
+    requests, naive first in even pairs and batched first in odd ones.
+    The gate is perfbench's nine-of-ten pair rule: it fails only when
+    the batched path misses the 5x floor in at least nine of ten pairs.
+    A burst of host load moves a pair or two; a batched path that
+    solves row by row (about 2.4x) misses in every pair.
+    """
+
+    def naive():
+        return [
+            partition_response(r, _solve_one_partition(r), batch_size=1)
+            for r in requests
+        ]
+
+    def batched():
+        out = []
+        for start in range(0, len(requests), batch_size):
+            chunk = requests[start : start + batch_size]
+            rows = solve_partition_rows(chunk)
+            out.extend(
+                partition_response(r, row, batch_size=len(chunk))
+                for r, row in zip(chunk, rows)
+            )
+        return out
+
+    for a, b in zip(naive(), batched()):
         assert a["apc_shared"] == b["apc_shared"], "batched solve diverged"
 
-    count = len(requests)
-    naive_rps = count / naive_s
-    batched_rps = count / batched_s
-    print(f"solve path ({count} sqrt requests, batch={batch_size}):")
-    print(f"  naive one-request-one-solve : {naive_rps:10.0f} solves/s")
-    print(f"  micro-batched vectorized    : {batched_rps:10.0f} solves/s")
-    print(f"  speedup                     : {batched_rps / naive_rps:10.1f}x")
-    return batched_rps / naive_rps
+    ratios = []
+    for i in range(SOLVER_PAIRS):
+        if i % 2:
+            batched_s, naive_s = _seconds(batched), _seconds(naive)
+        else:
+            naive_s, batched_s = _seconds(naive), _seconds(batched)
+        ratios.append(naive_s / batched_s)
+    misses = sum(r < SPEEDUP_FLOOR for r in ratios)
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    print(
+        f"solve path ({len(requests)} sqrt requests, batch={batch_size}, "
+        f"{SOLVER_PAIRS} alternating pairs):"
+    )
+    print(f"  naive/batched speedup : median {median:.1f}x (IQR {q1:.1f}-{q3:.1f}x)")
+    print(f"  pairs below {SPEEDUP_FLOOR:.0f}x       : {misses} of {SOLVER_PAIRS}")
+    return misses * 10 < 9 * SOLVER_PAIRS
 
 
 # ----------------------------------------------------------------------
@@ -870,11 +900,14 @@ def main(argv=None) -> int:
         return bench_surrogate_profile(args)
 
     requests = make_requests(args.requests, args.apps, with_metrics=args.with_metrics)
-    speedup = bench_solver(requests, args.batch)
+    passed = bench_solver(requests, args.batch)
     if not args.skip_http:
         bench_http(requests, args.clients, args.batch)
-    if speedup < 5.0:
-        print(f"\nWARNING: solve-path speedup {speedup:.1f}x below the 5x target")
+    if not passed:
+        print(
+            f"\nFAIL: the batched solve path missed {SPEEDUP_FLOOR:.0f}x in at "
+            "least nine of ten pairs"
+        )
         return 1
     return 0
 

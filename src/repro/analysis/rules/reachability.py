@@ -21,7 +21,9 @@ strings, resolved to the same module, else to the import origin through
 package re-exports, else to every definition of that name.  So a
 package re-export or an ``__all__`` entry is not a use.  A decorated or
 dunder definition is reached with its module (``@register`` runs at
-import).  A reached class reaches its whole body; methods are never
+import), except that ``@dataclass`` and ``@dataclasses.dataclass(...)``
+are inert: they only build the class, so a record type is reached only
+by a use.  A reached class reaches its whole body; methods are never
 reported.
 
 A suppression for this rule (``disable-file`` for a module, ``disable``
@@ -110,12 +112,22 @@ def _top_level(ctx: FileContext) -> FunctionInfo:
     )
 
 
+#: decorators that only build the definition, so they do not make it a root
+_INERT_DECORATORS = frozenset({"dataclass", "dataclasses.dataclass"})
+
+
 def _runs_on_import(node: ast.AST) -> bool:
-    """Decorators run at import; dunders (``__getattr__``) run implicitly."""
+    """Decorators run at import; dunders (``__getattr__``) run implicitly.
+
+    An inert decorator (``@dataclass``, called or not) runs at import
+    too, but only to build the class: a record type nothing uses is
+    still dead.
+    """
     assert isinstance(node, _DEFS)
-    return bool(node.decorator_list) or (
-        node.name.startswith("__") and node.name.endswith("__")
-    )
+    return any(
+        ast.unparse(d.func if isinstance(d, ast.Call) else d) not in _INERT_DECORATORS
+        for d in node.decorator_list
+    ) or (node.name.startswith("__") and node.name.endswith("__"))
 
 
 @register

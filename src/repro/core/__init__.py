@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.apps import AppProfile, Workload, relative_std
 from repro.core.bandwidth import (
-    BandwidthUnit,
     capped_allocation,
     greedy_allocation,
     normalize_shares,
@@ -91,7 +90,6 @@ __all__ = [
     "AppProfile",
     "Workload",
     "relative_std",
-    "BandwidthUnit",
     "capped_allocation",
     "greedy_allocation",
     "normalize_shares",

@@ -1,20 +1,15 @@
-"""Bandwidth units and share-to-APC allocation.
+"""Share-to-APC allocation.
 
-Two concerns live here:
-
-* Unit conversions between the model's native bandwidth unit -- memory
-  Accesses Per Cycle (APC) -- and Bytes/s, following paper Sec. III-A:
-  ``GB/s = APC x cache_line_size x cpu_frequency`` (their example:
-  0.01 APC = 3.2 GB/s at 64 B lines and 5 GHz).
-
-* Turning a *share vector* ``beta`` (fractions of total bandwidth,
-  summing to 1) into a feasible per-app ``APC_shared`` vector.  An
-  application can never consume more bandwidth than its standalone
-  demand ``APC_alone`` (paper Sec. III-D: "the maximum bandwidth one
-  application can occupy is bounded by APC_alone"), so shares are capped
-  and the slack is redistributed among the remaining applications in
-  proportion to their shares -- the behaviour of any work-conserving
-  enforcement mechanism such as the paper's start-time-fair scheduler.
+The model's bandwidth unit is memory Accesses Per Cycle (APC; paper
+Sec. III-A: 0.01 APC = 3.2 GB/s at 64 B lines and 5 GHz).  This module
+turns a *share vector* ``beta`` (fractions of total bandwidth,
+summing to 1) into a feasible per-app ``APC_shared`` vector.  An
+application can never consume more bandwidth than its standalone demand
+``APC_alone`` (paper Sec. III-D: "the maximum bandwidth one application
+can occupy is bounded by APC_alone"), so shares are capped and the
+slack is redistributed among the remaining applications in proportion
+to their shares -- the behaviour of any work-conserving enforcement
+mechanism such as the paper's start-time-fair scheduler.
 
 The allocators run on rows of Python floats (``*_row_allocation``): at
 the 4-8 apps of a request, a hundred numpy calls on a handful of
@@ -27,7 +22,6 @@ reproduces numpy's summation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, overload
 
 import numpy as np
@@ -36,7 +30,6 @@ from repro.util.errors import ConfigurationError, InvariantViolation
 from repro.util.validation import check_positive
 
 __all__ = [
-    "BandwidthUnit",
     "normalize_shares",
     "pairwise_sum",
     "capped_allocation",
@@ -53,34 +46,6 @@ __all__ = [
 CONSERVATION_ATOL = 1e-12
 #: relative (to the budget) slack allowed by the Eq. 2 conservation check
 CONSERVATION_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class BandwidthUnit:
-    """Conversion context between APC and bytes/second.
-
-    Parameters mirror the paper's example (Sec. III-A): 64-byte last
-    level cache lines and a 5 GHz CPU clock.
-    """
-
-    cache_line_bytes: int = 64
-    cpu_frequency_hz: float = 5.0e9
-
-    def __post_init__(self) -> None:
-        check_positive("cache_line_bytes", self.cache_line_bytes)
-        check_positive("cpu_frequency_hz", self.cpu_frequency_hz)
-
-    def to_bytes_per_sec(self, apc: float) -> float:
-        """APC -> bytes/second."""
-        return apc * self.cache_line_bytes * self.cpu_frequency_hz
-
-    def to_apc(self, bytes_per_sec: float) -> float:
-        """bytes/second -> APC."""
-        return bytes_per_sec / (self.cache_line_bytes * self.cpu_frequency_hz)
-
-    def to_gigabytes_per_sec(self, apc: float) -> float:
-        """APC -> GB/s (decimal gigabytes, as in the paper's 3.2 GB/s)."""
-        return self.to_bytes_per_sec(apc) / 1e9
 
 
 # perfbench/checks.py checks every served allocation against Eq. 2

@@ -42,6 +42,7 @@ __all__ = [
     "speedups",
     "ALL_METRICS",
     "metric_by_name",
+    "apc_error",
 ]
 
 
@@ -56,6 +57,24 @@ def speedups(ipc_shared: np.ndarray, ipc_alone: np.ndarray) -> np.ndarray:
     if (alone <= 0).any():
         raise ConfigurationError("ipc_alone must be positive")
     return shared / alone
+
+
+def apc_error(pred: FloatRow, sim: FloatRow) -> float:
+    """Model-vs-simulator error of one run: ``sum|pred - sim| / sum sim``.
+
+    ``pred`` and ``sim`` are per-app APC vectors.  Eq. 2 makes both sum
+    to about the utilized bandwidth, so an app a scheme starves weighs
+    by its APC rather than by one over it: the error needs no starvation
+    floor.
+    """
+    p = np.asarray(pred, dtype=float)
+    s = np.asarray(sim, dtype=float)
+    if p.shape != s.shape:
+        raise ConfigurationError(f"apc vectors shape mismatch: {p.shape} vs {s.shape}")
+    total = float(s.sum())
+    if not total > 0:
+        raise ConfigurationError("simulated APC must have a positive total")
+    return float(np.abs(p - s).sum()) / total
 
 
 def _row(values: FloatRow) -> Sequence[float]:

@@ -4,10 +4,10 @@ Usage::
 
     python -m repro.experiments figure1|figure2|figure3|figure4
     python -m repro.experiments table3|table4
-    python -m repro.experiments ablation      # model-vs-sim + mechanism studies
+    python -m repro.experiments ablation      # model-vs-sim card + mechanism studies
     python -m repro.experiments extension     # PAR-BS/TCM vs the derived optima
     python -m repro.experiments sensitivity   # winners under perturbation
-    python -m repro.experiments predicted     # model-only grid + agreement
+    python -m repro.experiments predicted     # model-only grid, no simulation
     python -m repro.experiments surrogate     # surrogate vs sim per-point error
     python -m repro.experiments controller    # closed-loop control vs phase oracle
     python -m repro.experiments scorecard     # 17-check PASS/FAIL gate
@@ -117,16 +117,15 @@ def run_exhibit(
     if name == "ablation":
         from repro.experiments import ablation
 
-        parts = [
-            ablation.render_model_vs_sim(ablation.model_vs_sim(runner, "hetero-5"))
-        ]
+        card = ablation.model_vs_sim(runner)
+        parts = [ablation.render_model_vs_sim(card)]
         enf = ablation.enforcement_ablation(runner)
         parts.append(
             f"enforcement ({enf.mix}/{enf.app}): target share "
             f"{enf.target_share:.3f}, arrival-free {enf.share_arrival_free:.3f}, "
             f"arrival-coupled {enf.share_arrival_coupled:.3f}"
         )
-        prof = ablation.profiler_ablation(runner)
+        prof = ablation.profiler_ablation(runner, card)
         parts.append(
             f"profiler ({prof.mix}/{prof.scheme}): APC_alone estimation error "
             + ", ".join(f"{m}={e * 100:.1f}%" for m, e in prof.errors.items())
@@ -176,19 +175,7 @@ def run_exhibit(
     if name == "predicted":
         from repro.experiments import predicted
 
-        pred = predicted.run()
-        text = predicted.render(pred)
-        hetero = tuple(m for m in pred.grid if m.startswith("hetero"))
-        agreement = predicted.compare_with_simulation(
-            pred, runner, mixes=hetero[:3]
-        )
-        return (
-            text
-            + "\n\nagreement vs simulation (3 hetero mixes): "
-            + f"mean |err| = {agreement.mean_abs_error:.3f}, "
-            + f"ordering agreement = {agreement.ordering_agreement * 100:.1f}% "
-            + f"({agreement.n_cells} cells)"
-        )
+        return predicted.render(predicted.run())
     if name == "surrogate":
         from repro.experiments import surrogate_exhibit
 

@@ -1,30 +1,20 @@
 """Ablation studies for the design choices called out in DESIGN.md.
 
-Four ablations:
-
-``model_vs_sim``
-    The analytical model's predicted per-app APC/metrics versus the
-    simulator's measurements for every scheme -- the model-validation
-    claim behind the whole paper.
-``enforcement``
-    The paper's arrival-free start-time tags (Sec. IV-B) versus the
-    original arrival-coupled DSTF rule: the modification is what lets a
-    low-intensity application actually attain its share.
-``profiler``
-    Online APC_alone estimation accuracy (Sec. IV-C) under the two
-    interference-counting modes.
-``priority_enforcement``
-    Strict-priority scheduling versus enforcing the same knapsack
-    allocation through start-time-fair shares (the paper calls priority
-    "a special form of partitioning").
-``online_vs_static``
-    Fully-online operation (periodic Sec. IV-C profiling driving share
-    updates, no alone-run oracle) versus the static alone-run-profiled
-    partition: the metric gap is the price of online estimation.
-``channel_scaling``
-    Doubling bandwidth by bus frequency (the paper's Sec. VI-C method)
-    versus by channel count -- equivalence justifies frequency scaling
-    as a stand-in for any capacity doubling.
+* ``model_vs_sim`` -- the report card: four predictors of each app's
+  shared APC scored against the simulator with one error
+  (:func:`repro.core.metrics.apc_error`) on every run of Figure 2, the
+  model-validation claim behind the whole paper;
+* ``enforcement`` -- the paper's arrival-free start-time tags
+  (Sec. IV-B) versus the original arrival-coupled DSTF rule;
+* ``profiler`` -- online APC_alone estimation (Sec. IV-C) under the two
+  interference-counting modes;
+* ``priority_enforcement`` -- strict priority versus the same knapsack
+  allocation as start-time-fair shares ("a special form of
+  partitioning");
+* ``online_vs_static`` -- fully-online operation (Sec. IV-C profiling,
+  no alone-run oracle) versus the static alone-run-profiled partition;
+* ``channel_scaling`` -- doubling bandwidth by bus frequency (the
+  paper's Sec. VI-C method) versus by channel count.
 """
 
 from __future__ import annotations
@@ -33,18 +23,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.control import EMASmoother, EpochController, ProfileTracker, RelativeShiftDetector
 from repro.core.knapsack import solve_fractional_knapsack
-from repro.core.metrics import ALL_METRICS
+from repro.core.metrics import apc_error, metric_by_name
 from repro.core.model import AnalyticalModel
-from repro.core.partitioning import default_schemes
+from repro.core.partitioning import default_schemes, scheme_by_name
+from repro.experiments.figure2 import OPTIMAL_FOR
+from repro.experiments.predicted import UTILIZED_BANDWIDTH
 from repro.experiments.report import format_table
-from repro.experiments.runner import Runner, scheduler_factory
-from repro.sim.engine import simulate
+from repro.experiments.runner import ALL_SCHEME_NAMES, NOPART, Runner, scheduler_factory
+from repro.sim.dram.config import DRAMConfig, ddr2_800
+from repro.sim.engine import SimConfig, simulate
+from repro.sim.mc.fcfs import FCFSScheduler
 from repro.sim.mc.stf import StartTimeFairScheduler
-from repro.workloads.mixes import mix_core_specs
+from repro.workloads.mixes import HETERO_MIXES, HOMO_MIXES, mix_core_specs, mix_paper_workload
 
 __all__ = [
-    "ModelVsSimResult",
+    "ModelVsSimCard",
     "model_vs_sim",
     "EnforcementResult",
     "enforcement_ablation",
@@ -60,67 +55,89 @@ __all__ = [
 ]
 
 
-# ----------------------------------------------------------------------
-# 1. analytical model vs simulator
-# ----------------------------------------------------------------------
+# -- 1. the model-vs-simulator card --
+#: the card's predictors of per-app APC, in report order: the model at
+#: measured profiles and the run's own utilized total (an oracle B), the
+#: same at the DRAM's peak, the model-only grid's Table III profiles, and
+#: the Sec. IV-C online APC_alone estimate against the alone-run profile
+PREDICTORS: dict[str, str] = {
+    "run_b": "(a) model @ run's B",
+    "peak_b": "(b) model @ peak B",
+    "table3": f"(c) Table III @ {UTILIZED_BANDWIDTH:g}",
+    "profiler": "(d) profiler APC_alone",
+}
+
+#: the schemes Sec. III solves in closed form for a share vector
+SHARE_SCHEMES: tuple[str, ...] = ("equal", "prop", "sqrt", "twothirds")
+
+
 @dataclass(frozen=True)
-class ModelVsSimResult:
-    mix: str
-    #: {scheme: (predicted APC vector, measured APC vector)}
-    apc: dict[str, tuple[np.ndarray, np.ndarray]]
-    #: {scheme: {metric: (predicted, measured)}}
-    metrics: dict[str, dict[str, tuple[float, float]]]
+class ModelVsSimCard:
+    """Per-app APC predictions beside the simulator's, per run."""
 
-    def apc_error(self, scheme: str) -> float:
-        """Mean relative APC prediction error across apps."""
-        pred, meas = self.apc[scheme]
-        return float(np.mean(np.abs(pred - meas) / np.maximum(meas, 1e-12)))
+    config: SimConfig
+    mixes: tuple[str, ...]
+    #: {(predictor, mix, scheme): (predicted, simulated) APC vectors};
+    #: for "profiler" the pair is (online estimate, alone-run APC_alone)
+    apc: dict[tuple[str, str, str], tuple[np.ndarray, np.ndarray]]
 
-
-def model_vs_sim(runner: Runner, mix: str) -> ModelVsSimResult:
-    """Predict every scheme's operating point and compare to simulation."""
-    specs = mix_core_specs(mix)
-    profiles = runner.profiles(specs)
-    apc_table: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    metric_table: dict[str, dict[str, tuple[float, float]]] = {}
-    for name, scheme in default_schemes().items():
-        run = runner.run(mix, name)
-        # the model's B is the *utilized* bandwidth of this run (Eq. 2)
-        model = AnalyticalModel(profiles, run.sim.total_apc)
-        op = model.operating_point(scheme)
-        apc_table[name] = (op.apc_shared, run.sim.apc_shared)
-        metric_table[name] = {
-            m.name: (
-                m(op.ipc_shared, profiles.ipc_alone),
-                m(run.sim.ipc_shared, run.ipc_alone),
-            )
-            for m in ALL_METRICS
+    def errors(self, predictor: str, scheme: str) -> dict[str, float]:
+        """{mix: apc_error} over the card's mixes ``predictor`` scores."""
+        return {
+            mix: apc_error(*self.apc[predictor, mix, scheme])
+            for mix in self.mixes
+            if (predictor, mix, scheme) in self.apc
         }
-    return ModelVsSimResult(mix=mix, apc=apc_table, metrics=metric_table)
 
 
-def render_model_vs_sim(result: ModelVsSimResult) -> str:
-    headers = ["scheme", "mean APC err", "hsp pred/meas", "wsp pred/meas"]
-    rows = []
-    for scheme in result.apc:
-        hsp_p, hsp_m = result.metrics[scheme]["hsp"]
-        wsp_p, wsp_m = result.metrics[scheme]["wsp"]
-        rows.append(
-            [
-                scheme,
-                f"{result.apc_error(scheme) * 100:.1f}%",
-                f"{hsp_p:.3f}/{hsp_m:.3f}",
-                f"{wsp_p:.3f}/{wsp_m:.3f}",
-            ]
-        )
-    return format_table(
-        headers, rows, title=f"Model vs simulator ({result.mix})"
+def median_max(errors: dict[str, float]) -> str:
+    """``"median / max"`` of a card's errors in percent, or ``"-"``."""
+    e = list(errors.values())
+    return f"{np.median(e) * 100:.2f} / {max(e) * 100:.2f}" if e else "-"
+
+
+def model_vs_sim(
+    runner: Runner, mixes: tuple[str, ...] = HOMO_MIXES + HETERO_MIXES
+) -> ModelVsSimCard:
+    """Score every predictor on every scheme's run of ``mixes``."""
+    peak = runner.sim_config.dram.peak_apc
+    apc: dict[tuple[str, str, str], tuple[np.ndarray, np.ndarray]] = {}
+    for mix in mixes:
+        profiles = runner.profiles(mix_core_specs(mix))
+        paper = mix_paper_workload(mix)
+        for name in ALL_SCHEME_NAMES:
+            sim = runner.run(mix, name).sim
+            scheme = scheme_by_name(name)
+            models = {
+                # Eq. 2: the utilized total does not depend on the scheme
+                "run_b": AnalyticalModel(profiles, sim.total_apc),
+                "peak_b": AnalyticalModel(profiles, peak),
+            }
+            if name != NOPART:  # the predicted exhibit has no No_partitioning
+                models["table3"] = AnalyticalModel(paper, UTILIZED_BANDWIDTH)
+            for key, model in models.items():
+                pred = model.operating_point(scheme).apc_shared
+                apc[key, mix, name] = (pred, sim.apc_shared)
+            apc["profiler", mix, name] = (sim.apc_alone_est, profiles.apc_alone)
+    return ModelVsSimCard(config=runner.sim_config, mixes=tuple(mixes), apc=apc)
+
+
+def render_model_vs_sim(card: ModelVsSimCard) -> str:
+    rows = [
+        [scheme] + [median_max(card.errors(key, scheme)) for key in PREDICTORS]
+        for scheme in ALL_SCHEME_NAMES
+    ]
+    cfg = card.config
+    title = (
+        "Model vs simulator: sum|pred - sim| / sum sim per run, "
+        f"median / max % over {len(card.mixes)} mixes\n"
+        f"({cfg.dram.name}, {cfg.warmup_cycles:.0f} + {cfg.measure_cycles:.0f} "
+        f"cycles, seed {cfg.seed})"
     )
+    return format_table(["scheme", *PREDICTORS.values()], rows, title=title)
 
 
-# ----------------------------------------------------------------------
-# 2. enforcement-mechanism ablation (Sec. IV-B modification)
-# ----------------------------------------------------------------------
+# -- 2. enforcement-mechanism ablation (Sec. IV-B modification) --
 @dataclass(frozen=True)
 class EnforcementResult:
     mix: str
@@ -145,9 +162,8 @@ def enforcement_ablation(
     n = len(specs)
     beta = np.full(n, 1.0 / n)
 
-    free = simulate(
-        specs, lambda m: StartTimeFairScheduler(m, beta), runner.sim_config
-    )
+    # arrival-free tags at 1/n shares are the planned Equal run
+    free = runner.run(mix, "equal").sim
     coupled = simulate(
         specs,
         lambda m: StartTimeFairScheduler(m, beta, arrival_coupled=True),
@@ -164,36 +180,40 @@ def enforcement_ablation(
     )
 
 
-# ----------------------------------------------------------------------
-# 3. profiler-accuracy ablation (Sec. IV-C)
-# ----------------------------------------------------------------------
+# -- 3. profiler-accuracy ablation (Sec. IV-C) --
 @dataclass(frozen=True)
 class ProfilerResult:
     mix: str
     scheme: str
-    #: {mode: mean relative |estimate - true| across apps}
+    #: {mode: apc_error of the estimate against the alone-run APC_alone}
     errors: dict[str, float]
 
 
 def profiler_ablation(
-    runner: Runner, mix: str = "hetero-5", scheme: str = "equal"
+    runner: Runner,
+    card: ModelVsSimCard,
+    mix: str = "hetero-5",
+    scheme: str = "equal",
 ) -> ProfilerResult:
-    """Estimation error of online APC_alone under both counting modes."""
+    """Estimation error of online APC_alone under both counting modes.
+
+    The runner's own mode is the card's row (d) for this run; only the
+    other mode is simulated.
+    """
+    own = runner.sim_config.interference_mode
+    other = "pending" if own == "stalled" else "stalled"
     specs = mix_core_specs(mix)
-    true_alone = np.array([runner.alone_point(s)[0] for s in specs])
-    errors = {}
-    for mode in ("stalled", "pending"):
-        cfg = replace(runner.sim_config, interference_mode=mode)
-        factory = scheduler_factory(scheme, runner.profiles(specs))
-        sim = simulate(specs, factory, cfg)
-        est = sim.apc_alone_est
-        errors[mode] = float(np.mean(np.abs(est - true_alone) / true_alone))
+    cfg = replace(runner.sim_config, interference_mode=other)
+    sim = simulate(specs, scheduler_factory(scheme, runner.profiles(specs)), cfg)
+    true_alone = card.apc["profiler", mix, scheme][1]
+    errors = {
+        own: card.errors("profiler", scheme)[mix],
+        other: apc_error(sim.apc_alone_est, true_alone),
+    }
     return ProfilerResult(mix=mix, scheme=scheme, errors=errors)
 
 
-# ----------------------------------------------------------------------
-# 4. priority enforcement: strict scheduler vs knapsack-as-shares
-# ----------------------------------------------------------------------
+# -- 4. priority enforcement: strict scheduler vs knapsack-as-shares --
 @dataclass(frozen=True)
 class PriorityEnforcementResult:
     mix: str
@@ -210,37 +230,29 @@ def priority_enforcement_ablation(
 ) -> PriorityEnforcementResult:
     """Enforce Priority_APC strictly vs via start-time-fair shares."""
     specs = mix_core_specs(mix)
-    profiles = runner.profiles(specs)
-    ipc_alone = np.array([runner.alone_point(s)[1] for s in specs])
-
     strict_run = runner.run(mix, "prio_apc")
+    apc_alone = strict_run.apc_alone
 
     # the paper's "special form of partitioning": knapsack quantities as shares
-    n = profiles.n
+    n = len(specs)
     sol = solve_fractional_knapsack(
-        1.0 / (n * profiles.apc_alone), profiles.apc_alone, strict_run.sim.total_apc
+        1.0 / (n * apc_alone), apc_alone, strict_run.sim.total_apc
     )
     q = sol.quantities
     beta = q / q.sum() if q.sum() > 0 else np.full(n, 1.0 / n)
     shares_sim = simulate(
         specs, lambda m: StartTimeFairScheduler(m, beta), runner.sim_config
     )
-
-    from repro.core.metrics import WeightedSpeedup
-
-    wsp = WeightedSpeedup()
     return PriorityEnforcementResult(
         mix=mix,
-        wsp_strict=wsp(strict_run.sim.ipc_shared, ipc_alone),
-        wsp_shares=wsp(shares_sim.ipc_shared, ipc_alone),
+        wsp_strict=strict_run.metrics["wsp"],
+        wsp_shares=metric_by_name("wsp")(shares_sim.ipc_shared, strict_run.ipc_alone),
         apc_strict=strict_run.sim.apc_shared,
         apc_shares=shares_sim.apc_shared,
     )
 
 
-# ----------------------------------------------------------------------
-# 5. fully-online operation vs static alone-run profiling (Sec. IV-C)
-# ----------------------------------------------------------------------
+# -- 5. fully-online operation vs static alone-run profiling (Sec. IV-C) --
 @dataclass(frozen=True)
 class OnlineVsStaticResult:
     mix: str
@@ -270,24 +282,11 @@ def online_vs_static_ablation(
     """Run one scheme fully online (start at Equal shares; re-partition
     every epoch from the Sec. IV-C counters) and compare against the
     static alone-run-profiled partition on the scheme's own metric."""
-    from repro.control import (
-        EMASmoother,
-        EpochController,
-        ProfileTracker,
-        RelativeShiftDetector,
-    )
-    from repro.core.metrics import metric_by_name
-    from repro.experiments.figure2 import OPTIMAL_FOR
-
     metric_name = next(
         (m for m, s in OPTIMAL_FOR.items() if s == scheme_name), "hsp"
     )
-    metric = metric_by_name(metric_name)
-
     specs = mix_core_specs(mix)
-    ipc_alone = np.array([runner.alone_point(s)[1] for s in specs])
     static_run = runner.run(mix, scheme_name)
-    profiles = runner.profiles(specs)
     scheme = default_schemes()[scheme_name]
 
     cfg = replace(runner.sim_config, epoch_cycles=epoch_cycles)
@@ -318,16 +317,16 @@ def online_vs_static_ablation(
         mix=mix,
         scheme=scheme_name,
         metric=metric_name,
-        value_static=metric(static_run.sim.ipc_shared, ipc_alone),
-        value_online=metric(online_sim.ipc_shared, ipc_alone),
-        beta_static=scheme.beta(profiles),
+        value_static=static_run.metrics[metric_name],
+        value_online=metric_by_name(metric_name)(
+            online_sim.ipc_shared, static_run.ipc_alone
+        ),
+        beta_static=scheme.beta(runner.profiles(specs)),
         beta_online=beta_online,
     )
 
 
-# ----------------------------------------------------------------------
-# 6. bandwidth-scaling mode: faster bus vs a second channel
-# ----------------------------------------------------------------------
+# -- 6. bandwidth-scaling mode: faster bus vs a second channel --
 @dataclass(frozen=True)
 class ChannelScalingResult:
     """6.4 GB/s reached two ways: 2x bus frequency vs 2 channels."""
@@ -352,9 +351,6 @@ def channel_scaling_ablation(
     its distribution.  Equivalence here justifies the paper's choice of
     frequency scaling as a stand-in for any capacity doubling.
     """
-    from repro.sim.dram.config import DRAMConfig, ddr2_800
-    from repro.sim.mc.fcfs import FCFSScheduler
-
     specs = mix_core_specs(mix)
     fast_cfg = replace(runner.sim_config, dram=ddr2_800())
     two_cfg = replace(

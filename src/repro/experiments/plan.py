@@ -8,8 +8,8 @@ few *heuristic-scheduler* points (PAR-BS / TCM for the extension
 study).  Run serially per exhibit -- today's ``repro-experiments all``
 -- the same points are simulated again and again: Figure 1 is a strict
 subset of Figure 2's grid, Table III/IV re-profile the benchmarks
-Figure 2 already profiled, the extension/predicted/scorecard/ablation
-studies all re-run slices of the main grid.
+Figure 2 already profiled, the extension/scorecard/ablation studies
+all re-run slices of the main grid.
 
 This module *compiles* a set of exhibits into a single
 content-addressed task DAG:
@@ -282,14 +282,12 @@ def _demand_table4(cfg_for):
 
 
 def _demand_ablation(cfg_for):
-    from repro.core.partitioning import default_schemes
-
-    cfg = cfg_for()
-    mixes = ("hetero-5",)
-    # model_vs_sim runs every scheme on hetero-5; the remaining studies
-    # reuse those runs plus eight bespoke simulations (enforcement x2,
-    # profiler x2, priority-as-shares x1, online x1, channel-scaling x2)
-    return _profiles(mixes, cfg) + _runs(mixes, tuple(default_schemes()), cfg), 8
+    # the model-vs-sim card scores Figure 2's grid; the other studies
+    # read its hetero-5 Equal run plus six bespoke simulations:
+    # arrival-coupled enforcement, the profiler's other counting mode,
+    # priority-as-shares, online, and channel scaling x2
+    points, _ = _demand_figure2(cfg_for)
+    return points, 6
 
 
 def _demand_extension(cfg_for):
@@ -322,38 +320,19 @@ def _demand_sensitivity(cfg_for):
 
 
 def _demand_predicted(cfg_for):
-    from repro.core.partitioning import default_schemes
-    from repro.workloads.mixes import HETERO_MIXES
-
-    cfg = cfg_for()
-    # compare_with_simulation simulates the first three hetero mixes,
-    # normalized to Equal (equal is one of the six default schemes)
-    mixes = HETERO_MIXES[:3]
-    return _profiles(mixes, cfg) + _runs(mixes, tuple(default_schemes()), cfg), 0
+    # the model-only grid simulates nothing
+    return [], 0
 
 
 def _demand_scorecard(cfg_for):
-    from repro.core.partitioning import default_schemes
-    from repro.experiments.figure2 import FIG2_SCHEMES
-
-    cfg = cfg_for()
     fig1, _ = _demand_figure1(cfg_for)
     t3, _ = _demand_table3(cfg_for)
     t4, _ = _demand_table4(cfg_for)
     fig3, fig3_serial = _demand_figure3(cfg_for)
-    reduced = ("hetero-4", "hetero-5", "hetero-6", "homo-1")
-    from repro.experiments.runner import NOPART
-
-    points = (
-        fig1
-        + t3
-        + t4
-        + _profiles(reduced, cfg)
-        + _runs(reduced, (NOPART,) + FIG2_SCHEMES, cfg)
-        + fig3
-        + _runs(("hetero-5",), tuple(default_schemes()), cfg)
-    )
-    return points, fig3_serial
+    # the reduced Figure 2 check and the model-vs-sim card both read
+    # Figure 2's grid
+    fig2, _ = _demand_figure2(cfg_for)
+    return fig1 + t3 + t4 + fig2 + fig3, fig3_serial
 
 
 def _demand_regression(cfg_for):

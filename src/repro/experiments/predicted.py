@@ -6,11 +6,9 @@ entire Figure-2 grid from the model alone (Table III reference profiles,
 closed-form allocations -- microseconds per cell instead of seconds),
 normalized to Equal partitioning (the model has no first-principles
 No_partitioning; FCFS is an emergent scheduler behaviour, so Equal is
-the natural model-side baseline).
-
-``compare_with_simulation`` then quantifies how well the free prediction
-tracks the expensive measurement -- the operational version of the
-paper's "model is simple yet powerful" claim.
+the natural model-side baseline).  It runs no simulation; the
+model-vs-simulator card (:func:`repro.experiments.ablation.model_vs_sim`,
+row (c)) scores the same predictions against the simulator.
 """
 
 from __future__ import annotations
@@ -23,14 +21,17 @@ from repro.core.metrics import ALL_METRICS
 from repro.core.model import AnalyticalModel
 from repro.core.partitioning import default_schemes
 from repro.experiments.report import format_grid
-from repro.experiments.runner import Runner
 from repro.util.errors import ConfigurationError
 from repro.workloads.mixes import HETERO_MIXES, HOMO_MIXES, mix_paper_workload
 
-__all__ = ["PredictedResult", "run", "compare_with_simulation", "render"]
+__all__ = ["PredictedResult", "run", "render"]
 
 #: the model-side baseline (see module docstring)
 BASELINE = "equal"
+
+#: the utilized DDR2-400 bandwidth the simulator measures, in APC
+#: (~94% of the 0.01 APC peak)
+UTILIZED_BANDWIDTH = 0.0094
 
 
 @dataclass(frozen=True)
@@ -45,14 +46,10 @@ class PredictedResult:
 
 
 def run(
-    total_bandwidth: float = 0.0094,
+    total_bandwidth: float = UTILIZED_BANDWIDTH,
     mixes: tuple[str, ...] | None = None,
 ) -> PredictedResult:
-    """Predict the grid from Table III reference profiles.
-
-    ``total_bandwidth`` defaults to the utilized DDR2-400 bandwidth the
-    simulator measures (~94% of the 0.01 APC peak).
-    """
+    """Predict the grid from Table III reference profiles."""
     if total_bandwidth <= 0:
         raise ConfigurationError("total_bandwidth must be positive")
     mixes = mixes or (HOMO_MIXES + HETERO_MIXES)
@@ -74,56 +71,6 @@ def run(
             for name, v in raw.items()
         }
     return PredictedResult(grid=grid, total_bandwidth=total_bandwidth)
-
-
-@dataclass(frozen=True)
-class Agreement:
-    """Predicted-vs-simulated agreement statistics."""
-
-    #: mean |predicted - simulated| over finite, non-starved cells
-    mean_abs_error: float
-    #: Spearman-style rank agreement of scheme orderings per (mix, metric)
-    ordering_agreement: float
-    n_cells: int
-
-
-def compare_with_simulation(
-    predicted: PredictedResult,
-    runner: Runner,
-    mixes: tuple[str, ...],
-) -> Agreement:
-    """Simulate the same grid (normalized to Equal) and compare.
-
-    Starvation cells (value < 0.05 on fairness metrics under priority
-    schemes) are excluded from the absolute-error average -- both sides
-    agree they are ~0 but tiny denominators make ratios meaningless --
-    yet they still participate in the ordering agreement.
-    """
-    schemes = list(default_schemes())
-    errors: list[float] = []
-    orderings = 0
-    agreements = 0
-    for mix in mixes:
-        sim_norm = runner.normalized_metrics(mix, schemes, baseline=BASELINE)
-        for metric in [m.name for m in ALL_METRICS]:
-            pred_v = {s: predicted.grid[mix][s][metric] for s in schemes}
-            sim_v = {s: sim_norm[s][metric] for s in schemes}
-            for s in schemes:
-                if min(pred_v[s], sim_v[s]) >= 0.05:
-                    errors.append(abs(pred_v[s] - sim_v[s]))
-            # pairwise ordering agreement over well-separated sim pairs
-            for i, a in enumerate(schemes):
-                for b in schemes[i + 1:]:
-                    if abs(sim_v[a] - sim_v[b]) < 0.03 * max(sim_v[a], sim_v[b], 1e-9):
-                        continue
-                    orderings += 1
-                    if (pred_v[a] > pred_v[b]) == (sim_v[a] > sim_v[b]):
-                        agreements += 1
-    return Agreement(
-        mean_abs_error=float(np.mean(errors)) if errors else float("nan"),
-        ordering_agreement=agreements / orderings if orderings else 1.0,
-        n_cells=len(errors),
-    )
 
 
 def render(predicted: PredictedResult) -> str:

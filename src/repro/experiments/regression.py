@@ -11,7 +11,7 @@ Tracked quantities (chosen to cover every subsystem):
 
 * Figure 1 normalized values for all (scheme, metric) cells;
 * Table III worst APKC error;
-* model-vs-sim APC error for the share-based schemes;
+* the model-vs-sim card's hetero-5 error for the share-based schemes;
 * the Figure 3 pinned IPCs;
 * total utilized bandwidth under FCFS (channel-efficiency tracker).
 
@@ -76,9 +76,9 @@ def collect(runner: Runner) -> dict[str, float]:
     t3 = table3.run(runner)
     values["table3.worst_apkc_error"] = t3.worst_apkc_error
 
-    mvs = ablation.model_vs_sim(runner, "hetero-5")
-    for scheme in ("equal", "prop", "sqrt", "twothirds"):
-        values[f"model_vs_sim.{scheme}"] = mvs.apc_error(scheme)
+    card = ablation.model_vs_sim(runner, ("hetero-5",))
+    for scheme in ablation.SHARE_SCHEMES:
+        values[f"model_vs_sim.{scheme}"] = card.errors("run_b", scheme)["hetero-5"]
 
     fig3 = figure3.run(runner)
     for mix in ("Mix-1", "Mix-2"):

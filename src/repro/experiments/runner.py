@@ -254,18 +254,13 @@ class Runner:
     # normalization helpers (Figs. 1-4 all report normalized metrics)
     # ------------------------------------------------------------------
     def normalized_metrics(
-        self,
-        mix: str,
-        scheme_names: Iterable[str],
-        *,
-        baseline: str = NOPART,
-        copies: int = 1,
+        self, mix: str, scheme_names: Iterable[str]
     ) -> dict[str, dict[str, float]]:
-        """{scheme: {metric: value / baseline_value}} for one mix."""
-        base = self.run(mix, baseline, copies=copies).metrics
+        """{scheme: {metric: value / No_partitioning value}} for one mix."""
+        base = self.run(mix, NOPART).metrics
         out: dict[str, dict[str, float]] = {}
         for s in scheme_names:
-            m = self.run(mix, s, copies=copies).metrics
+            m = self.run(mix, s).metrics
             out[s] = {
                 k: (m[k] / base[k] if base[k] > 0 else float("inf"))
                 for k in m

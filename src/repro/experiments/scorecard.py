@@ -13,7 +13,8 @@ Checks (all on the simulator, one shared runner):
 4. Figure 2 (reduced grid): optimal schemes win their hetero averages;
    2/3_power between sqrt and prop; priority starvation.
 5. Figure 3: QoS pinning + unregulated nopart.
-6. Model-vs-sim APC agreement for share schemes.
+6. Model-vs-sim APC agreement: every share scheme within 5% on every
+   Figure 2 mix (the card of :mod:`repro.experiments.ablation`).
 """
 
 from __future__ import annotations
@@ -187,15 +188,27 @@ def _check_figure3(runner: Runner) -> list[Check]:
 def _check_model_vs_sim(runner: Runner) -> list[Check]:
     from repro.experiments import ablation
 
-    mvs = ablation.model_vs_sim(runner, "hetero-5")
-    worst = max(
-        mvs.apc_error(s) for s in ("equal", "prop", "sqrt", "twothirds")
+    card = ablation.model_vs_sim(runner)
+    worst, mix, scheme = max(
+        (err, m, s)
+        for s in ablation.SHARE_SCHEMES
+        for m, err in card.errors("run_b", s).items()
+    )
+    # the strict-priority grants and the nopart power law miss by more;
+    # printed, not gated
+    ungated = ", ".join(
+        f"{s} {ablation.median_max(card.errors('run_b', s))}%"
+        for s in ("nopart", "prio_apc", "prio_api")
     )
     return [
         Check(
             name="model-vs-sim:apc-agreement",
-            passed=worst < 0.15,
-            evidence=f"worst share-scheme APC error {worst * 100:.1f}% (< 15%)",
+            passed=worst <= 0.05,
+            evidence=(
+                f"worst share-scheme APC error {worst * 100:.2f}% ({scheme}, "
+                f"{mix}; <= 5% on all {len(card.mixes)} mixes); "
+                f"ungated median/max: {ungated}"
+            ),
         )
     ]
 

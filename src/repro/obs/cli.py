@@ -1,10 +1,8 @@
-"""``repro-trace``: summarize a trace file into a per-phase time table.
+"""``repro-trace``: summarize a Chrome trace into a per-phase time table.
 
-Accepts either exporter output format (auto-detected):
-
-* Chrome trace JSON (``{"traceEvents": [...]}``) -- complete ("X")
-  events are aggregated, metadata and instant events ignored;
-* JSON-lines (one span object per line, as ``write_jsonl`` emits).
+Reads the Chrome trace JSON that :func:`repro.obs.write_chrome_trace`
+writes (``{"traceEvents": [...]}``): complete ("X") events are
+aggregated, metadata and instant events ignored.
 
 Usage::
 
@@ -21,42 +19,27 @@ __all__ = ["load_trace", "summarize", "render", "main"]
 
 
 def load_trace(path: str) -> list[dict]:
-    """Normalized span dicts {name, dur_us, cpu_us} from either format."""
+    """Normalized span dicts {name, dur_us, cpu_us} of a Chrome trace.
+
+    Raises ``ValueError`` when the file is not a Chrome trace.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    text = text.strip()
-    if not text:
-        return []
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError:
+            doc = None
+    if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"), list):
+        raise ValueError("not a Chrome trace: want one JSON object with a traceEvents list")
     spans: list[dict] = []
-    # Chrome trace files are one JSON document; JSON-lines files only
-    # parse line by line (both start with "{", so detect by parsing).
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict) and "traceEvents" in doc:
-        for event in doc["traceEvents"]:
-            if event.get("ph") != "X":
-                continue
-            args = event.get("args", {})
-            spans.append(
-                {
-                    "name": event.get("name", "?"),
-                    "dur_us": float(event.get("dur", 0.0)),
-                    "cpu_us": float(args.get("cpu_ms", 0.0)) * 1000.0,
-                }
-            )
-        return spans
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+    for event in doc["traceEvents"]:
+        if not isinstance(event, dict) or event.get("ph") != "X":
             continue
-        obj = json.loads(line)
+        args = event.get("args", {})
         spans.append(
             {
-                "name": obj.get("name", "?"),
-                "dur_us": float(obj.get("dur_us", 0.0)),
-                "cpu_us": float(obj.get("cpu_us", 0.0)),
+                "name": event.get("name", "?"),
+                "dur_us": float(event.get("dur", 0.0)),
+                "cpu_us": float(args.get("cpu_ms", 0.0)) * 1000.0,
             }
         )
     return spans
@@ -113,7 +96,7 @@ def render(rows: list[dict], *, sort: str = "total", top: int | None = None) -> 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro-trace", description=__doc__)
-    parser.add_argument("trace", help="Chrome trace JSON or span JSON-lines file")
+    parser.add_argument("trace", help="Chrome trace JSON file")
     parser.add_argument(
         "--sort",
         choices=("total", "mean", "count", "name"),
@@ -126,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         spans = load_trace(args.trace)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"repro-trace: cannot read {args.trace!r}: {exc}", file=sys.stderr)
         return 2
     if not spans:

@@ -252,6 +252,44 @@ def test_decorated_definition_is_reached_with_its_module(
     ) == []
 
 
+def test_dataclass_only_a_test_uses_is_reported(tmp_path: pathlib.Path) -> None:
+    """``@dataclass`` only builds the class, so it does not make a root."""
+    assert _dead_defs(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/cli.py": (
+                "from repro.records import Used\n\n\ndef main():\n    Used()\n\n\n"
+                + GUARD
+            ),
+            "src/repro/records.py": (
+                "import dataclasses\nfrom dataclasses import dataclass\n\n\n"
+                "@dataclass\nclass Used:\n    x: int = 0\n\n\n"
+                "@dataclass(frozen=True)\nclass Bare:\n    x: int = 0\n\n\n"
+                "@dataclasses.dataclass(frozen=True)\nclass Dotted:\n    x: int = 0\n"
+            ),
+            "tests/test_records.py": "from repro.records import Bare, Dotted\n",
+        },
+    ) == ["repro.records.Bare", "repro.records.Dotted"]
+
+
+def test_register_still_reaches_a_decorated_dataclass(tmp_path: pathlib.Path) -> None:
+    """A decorator that is not inert keeps its definition a root, even
+    stacked on ``@dataclass``."""
+    assert _dead_defs(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/cli.py": _cli("repro.rules"),
+            "src/repro/rules.py": (
+                "from dataclasses import dataclass\n\n\n"
+                "def register(cls):\n    return cls\n\n\n"
+                "@register\n@dataclass\nclass Rule:\n    x: int = 0\n"
+            ),
+        },
+    ) == []
+
+
 def test_string_naming_a_definition_reaches_it(tmp_path: pathlib.Path) -> None:
     assert _dead_defs(
         tmp_path,

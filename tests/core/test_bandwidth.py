@@ -1,31 +1,14 @@
-"""Unit tests for bandwidth units and allocation (repro.core.bandwidth)."""
+"""Unit tests for share-to-APC allocation (repro.core.bandwidth)."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    BandwidthUnit,
     capped_allocation,
     greedy_allocation,
     normalize_shares,
 )
 from repro.util.errors import ConfigurationError
-
-
-class TestBandwidthUnit:
-    def test_paper_example(self):
-        """Sec. III-A: 0.01 APC = 3.2 GB/s at 64 B lines, 5 GHz."""
-        unit = BandwidthUnit(cache_line_bytes=64, cpu_frequency_hz=5e9)
-        assert unit.to_gigabytes_per_sec(0.01) == pytest.approx(3.2)
-
-    def test_roundtrip(self):
-        unit = BandwidthUnit()
-        for apc in (0.001, 0.01, 0.1):
-            assert unit.to_apc(unit.to_bytes_per_sec(apc)) == pytest.approx(apc)
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ConfigurationError):
-            BandwidthUnit(cache_line_bytes=0)
 
 
 class TestNormalizeShares:

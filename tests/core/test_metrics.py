@@ -12,6 +12,7 @@ from repro.core import (
     metric_by_name,
     speedups,
 )
+from repro.core.metrics import apc_error
 from repro.util.errors import ConfigurationError
 
 IPC_ALONE = np.array([2.0, 1.0, 0.5, 0.25])
@@ -131,3 +132,24 @@ class TestRegistry:
 
     def test_all_higher_is_better(self):
         assert all(m.higher_is_better for m in ALL_METRICS)
+
+
+class TestApcError:
+    def test_exact_prediction_is_zero(self):
+        assert apc_error([0.003, 0.001], [0.003, 0.001]) == 0.0
+
+    def test_sum_of_misses_over_sum_of_simulated(self):
+        # |0.004 - 0.005| + |0.002 - 0.001| over 0.006
+        assert apc_error([0.004, 0.002], [0.005, 0.001]) == pytest.approx(1 / 3)
+
+    def test_starved_app_weighs_by_its_apc(self):
+        """A starved app's miss counts by its bandwidth, so one tiny
+        denominator cannot decide the number (the per-app mean reads
+        about 50 here)."""
+        assert apc_error([0.005, 1e-4], [0.005, 2e-6]) == pytest.approx(
+            0.0196, abs=1e-4
+        )
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ConfigurationError):
+            apc_error([0.1, 0.2], [0.1])

@@ -26,6 +26,14 @@ class TestScorecard:
             "model-vs-sim",
         }
 
+    def test_model_check_covers_figure2_grid(self, card):
+        """Share schemes gated per mix on all 14 mixes; the priority
+        schemes and No_partitioning printed beside them, ungated."""
+        (check,) = [c for c in card.checks if c.name.startswith("model-vs-sim")]
+        assert "all 14 mixes" in check.evidence
+        for scheme in ("nopart", "prio_apc", "prio_api"):
+            assert scheme in check.evidence
+
     def test_evidence_is_populated(self, card):
         assert all(c.evidence for c in card.checks)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -48,26 +47,35 @@ def _trace_file(tmp_path, fmt):
     with obs.span("serialize"):
         pass
     path = tmp_path / f"trace.{fmt}"
-    if fmt == "json":
-        obs.write_chrome_trace(path, obs.tracer().spans())
-    else:
-        path.write_text(
-            "".join(
-                json.dumps(dataclasses.asdict(s)) + "\n"
-                for s in obs.tracer().spans()
-            )
-        )
+    obs.write_chrome_trace(path, obs.tracer().spans())
     return path
 
 
 class TestTraceCli:
-    @pytest.mark.parametrize("fmt", ["json", "jsonl"])
+    @pytest.mark.parametrize("fmt", ["json"])
     def test_summarizes_both_formats(self, tmp_path, capsys, fmt):
         path = _trace_file(tmp_path, fmt)
         assert cli.main([str(path)]) == 0
         out = capsys.readouterr().out
         assert "phase" in out
         assert "solve" in out and "serialize" in out
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"name": "solve", "dur_us": 1.0}\n{"name": "solve", "dur_us": 2.0}\n',
+            '{"name": "solve"}',
+            '{"traceEvents": {}}',
+            "[1, 2]",
+            "",
+        ],
+        ids=["jsonl", "no-events", "events-not-a-list", "array", "empty"],
+    )
+    def test_rejects_input_that_is_not_a_chrome_trace(self, tmp_path, capsys, text):
+        path = tmp_path / "spans.jsonl"
+        path.write_text(text)
+        assert cli.main([str(path)]) == 2
+        assert "not a Chrome trace" in capsys.readouterr().err
 
     def test_sort_and_top(self, tmp_path, capsys):
         path = _trace_file(tmp_path, "json")

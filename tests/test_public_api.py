@@ -3,6 +3,7 @@
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -20,12 +21,22 @@ PACKAGES = [
 ]
 
 
-@pytest.mark.parametrize("package", PACKAGES)
-def test_all_exports_resolve(package):
-    mod = importlib.import_module(package)
-    assert hasattr(mod, "__all__"), package
-    for name in mod.__all__:
-        assert hasattr(mod, name), f"{package}.{name} missing"
+def _all_modules() -> list[str]:
+    import repro
+
+    found = pkgutil.walk_packages(repro.__path__, "repro.")
+    return ["repro"] + sorted(m.name for m in found)
+
+
+@pytest.mark.parametrize("module", _all_modules())
+def test_all_exports_resolve(module):
+    """Every ``__all__`` entry of every module names a real attribute,
+    so a deletion cannot leave a stale export behind."""
+    mod = importlib.import_module(module)
+    if module in PACKAGES:
+        assert hasattr(mod, "__all__"), module
+    for name in getattr(mod, "__all__", ()):
+        assert hasattr(mod, name), f"{module}.{name} missing"
 
 
 @pytest.mark.parametrize("package", PACKAGES)
