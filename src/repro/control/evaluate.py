@@ -4,8 +4,10 @@ Three quality measures, all defined against the *analytic* model at
 the true (declared) profiles so that controller runs with different
 schedulers/seeds stay comparable:
 
-* **tracking error** -- mean relative error of the controller's
-  profile estimate against the ground truth, over all decision epochs;
+* **tracking error** -- the mean over decision epochs of the
+  estimate's :func:`~repro.core.metrics.apc_error` against the ground
+  truth (``sum|est - true| / sum true`` over the apps with an
+  estimate);
 * **regret** -- for each metric m, the time-weighted gap
   ``(m_oracle - m_controller) / m_oracle`` where both sides evaluate
   their share vector through :func:`capped_allocation` at the true
@@ -34,7 +36,7 @@ import numpy as np
 from repro.control.controller import EpochController, EpochDecision
 from repro.control.oracle import PhaseOracle
 from repro.core.bandwidth import capped_allocation
-from repro.core.metrics import metric_by_name
+from repro.core.metrics import apc_error, metric_by_name
 from repro.core.partitioning import PartitioningScheme
 from repro.sim.engine import SimConfig, SimResult, simulate
 from repro.sim.mc.stf import StartTimeFairScheduler
@@ -64,7 +66,8 @@ class ControlEvalResult:
     workload: str
     scheme: str
     decisions: tuple[EpochDecision, ...]
-    #: mean relative estimate error over decision epochs
+    #: mean over decision epochs of the estimate's apc_error
+    #: (``sum|est - true| / sum true`` over the estimated apps)
     tracking_error: float
     #: metric name -> time-weighted relative gap to the oracle
     regret: dict[str, float]
@@ -208,7 +211,8 @@ def _convergence(
 def _tracking_error(
     workload: NonStationaryWorkload, decisions: Sequence[EpochDecision]
 ) -> float:
-    """Mean relative estimate error at decision epochs.
+    """Mean over decision epochs of the estimate's :func:`apc_error`
+    against the truth, over each decision's apps with an estimate.
 
     Truth is sampled just *before* each close: the closed window lies
     entirely before the decision cycle, so a change landing exactly on
@@ -220,8 +224,7 @@ def _tracking_error(
         if not np.any(finite):
             continue
         truth = workload.true_apc_alone(max(d.cycle - 1.0, 0.0))
-        rel = np.abs(d.estimate[finite] - truth[finite]) / truth[finite]
-        errors.append(float(rel.mean()))
+        errors.append(apc_error(d.estimate[finite], truth[finite]))
     return float(np.mean(errors)) if errors else float("nan")
 
 

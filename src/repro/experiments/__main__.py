@@ -20,7 +20,10 @@ sampling noise); ``--export DIR`` writes tidy CSV/JSON artifacts;
 simulation DAG and executes it on the shared worker pool before
 assembling the outputs (``--plan-json PATH`` saves the compiled plan).
 ``--workers N`` (or ``REPRO_WORKERS``) sizes the shared dispatcher for
-every subcommand; setting a worker count implies ``--plan``.
+every subcommand; setting a worker count implies ``--plan``.  Every
+exhibit of one invocation reads one results table, so no point is
+simulated twice; without ``--plan`` the missing points run in this
+process through the same task code.
 """
 
 from __future__ import annotations
@@ -61,27 +64,22 @@ def _maybe_export(name: str, result, export_dir: str | None) -> str:
     return f"\n[exported {csv_path} and {json_path}]"
 
 
-def _runner_for(config, plan_results) -> Runner:
-    """A serial runner, pre-warmed with planned results when available."""
-    if plan_results is not None:
-        return plan_results.runner(config)
-    return Runner(config)
-
-
 def run_exhibit(
     name: str,
     quick: bool = False,
     export_dir: str | None = None,
     workers: int | None = None,
-    plan_results=None,
+    results: dict | None = None,
 ) -> str:
     """Run one exhibit and return its rendered text.
 
-    ``plan_results`` (a :class:`repro.experiments.dispatch.PlanResults`)
-    supplies pre-computed simulations; exhibits then only assemble, plus
-    their few dependent serial simulations.
+    ``results`` is the invocation's results table (task digest ->
+    result): every runner the exhibit builds reads it, so planned points
+    and points an earlier exhibit simulated are not simulated again, and
+    the points this exhibit simulates join it.
     """
-    runner = _runner_for(default_config(quick), plan_results)
+    results = {} if results is None else results
+    runner = Runner(default_config(quick), results)
     if name == "figure1":
         from repro.experiments import figure1
 
@@ -100,9 +98,7 @@ def run_exhibit(
     if name == "figure4":
         from repro.experiments import figure4
 
-        result = figure4.run(
-            lambda dram: _runner_for(default_config(quick, dram), plan_results)
-        )
+        result = figure4.run(lambda dram: Runner(default_config(quick, dram), results))
         return figure4.render(result) + _maybe_export(name, result, export_dir)
     if name == "table3":
         from repro.experiments import table3
@@ -117,57 +113,16 @@ def run_exhibit(
     if name == "ablation":
         from repro.experiments import ablation
 
-        card = ablation.model_vs_sim(runner)
-        parts = [ablation.render_model_vs_sim(card)]
-        enf = ablation.enforcement_ablation(runner)
-        parts.append(
-            f"enforcement ({enf.mix}/{enf.app}): target share "
-            f"{enf.target_share:.3f}, arrival-free {enf.share_arrival_free:.3f}, "
-            f"arrival-coupled {enf.share_arrival_coupled:.3f}"
-        )
-        prof = ablation.profiler_ablation(runner, card)
-        parts.append(
-            f"profiler ({prof.mix}/{prof.scheme}): APC_alone estimation error "
-            + ", ".join(f"{m}={e * 100:.1f}%" for m, e in prof.errors.items())
-        )
-        pe = ablation.priority_enforcement_ablation(runner)
-        parts.append(
-            f"priority enforcement ({pe.mix}): Wsp strict={pe.wsp_strict:.3f} "
-            f"vs knapsack-shares={pe.wsp_shares:.3f}"
-        )
-        cs = ablation.channel_scaling_ablation(runner)
-        parts.append(
-            f"channel scaling ({cs.mix}): 2x-bus B={cs.total_apc_fast_bus:.5f} "
-            f"vs 2-channel B={cs.total_apc_two_channels:.5f} APC "
-            f"(ratio {cs.throughput_ratio:.3f})"
-        )
-        ovs = ablation.online_vs_static_ablation(runner)
-        parts.append(
-            f"online vs static ({ovs.mix}/{ovs.scheme}): {ovs.metric} "
-            f"static={ovs.value_static:.3f} online={ovs.value_online:.3f} "
-            f"({ovs.relative_gap * 100:.1f}% of static)"
-        )
-        return "\n\n".join(parts)
+        return ablation.render(ablation.run(runner))
     if name == "extension":
         from repro.experiments import extension
 
-        heuristic_sims = (
-            plan_results.heuristic_sims(default_config(quick))
-            if plan_results is not None
-            else None
-        )
-        return extension.render(
-            extension.run(runner, heuristic_sims=heuristic_sims)
-        )
+        return extension.render(extension.run(runner))
     if name == "sensitivity":
         from repro.experiments import sensitivity
 
-        factory = (
-            (lambda cfg: plan_results.runner(cfg))
-            if plan_results is not None
-            else None
-        )
-        return sensitivity.render(sensitivity.run(runner_factory=factory))
+        result = sensitivity.run(runner_factory=lambda cfg: Runner(cfg, results))
+        return sensitivity.render(result)
     if name == "scorecard":
         from repro.experiments import scorecard
 
@@ -180,7 +135,7 @@ def run_exhibit(
         from repro.experiments import surrogate_exhibit
 
         # rides its own planner-compiled sweep (SimCache-deduped), not
-        # the shared exhibit plan; quick/plan flags do not apply
+        # the shared results table; the quick flag does not apply
         result = surrogate_exhibit.run(workers=workers)
         return surrogate_exhibit.render(result)
     if name == "controller":
@@ -192,8 +147,9 @@ def run_exhibit(
     raise SystemExit(f"unknown exhibit {name!r}; choose from {_EXHIBITS + ('all',)}")
 
 
-def _execute_sweep(names, *, quick: bool, workers: int | None, plan_json):
-    """Compile + execute the deduplicated DAG for the named exhibits."""
+def _execute_sweep(names, *, quick: bool, workers: int | None, plan_json) -> dict:
+    """Compile + execute the deduplicated DAG for the named exhibits;
+    returns its results table."""
     from repro.experiments.dispatch import execute_plan
     from repro.experiments.plan import PLANNABLE_EXHIBITS, compile_plan
 
@@ -204,8 +160,7 @@ def _execute_sweep(names, *, quick: bool, workers: int | None, plan_json):
         sweep.write(plan_json)
         print(f"[plan written to {plan_json}]")
     t0 = time.time()
-    results = execute_plan(sweep, max_workers=workers)
-    stats = results.stats
+    results, stats = execute_plan(sweep, max_workers=workers)
     print(
         f"[plan executed: {stats.n_tasks} simulations "
         f"({stats.n_cache_hits} profile cache hits, {stats.n_steals} stolen, "
@@ -260,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.exhibit == "regression":
         from repro.experiments import regression
 
-        plan_results = (
+        results = (
             _execute_sweep(
                 ("regression",),
                 quick=args.quick,
@@ -268,10 +223,9 @@ def main(argv: list[str] | None = None) -> int:
                 plan_json=args.plan_json,
             )
             if use_plan
-            else None
+            else {}
         )
-        runner = _runner_for(default_config(args.quick), plan_results)
-        current = regression.collect(runner)
+        current = regression.collect(Runner(default_config(args.quick), results))
         if args.update:
             regression.save_baseline(current, regression.BASELINE_PATH)
             print(f"baseline updated: {regression.BASELINE_PATH} "
@@ -289,12 +243,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.exhibit == "all"
         else (args.exhibit,)
     )
-    plan_results = (
+    # one results table for the whole invocation
+    results = (
         _execute_sweep(
             names, quick=args.quick, workers=workers, plan_json=args.plan_json
         )
         if use_plan
-        else None
+        else {}
     )
     for name in names:
         t0 = time.time()
@@ -305,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
                 quick=args.quick,
                 export_dir=args.export,
                 workers=workers,
-                plan_results=plan_results,
+                results=results,
             )
         )
         elapsed = time.time() - t0

@@ -15,6 +15,9 @@
   no alone-run oracle) versus the static alone-run-profiled partition;
 * ``channel_scaling`` -- doubling bandwidth by bus frequency (the
   paper's Sec. VI-C method) versus by channel count.
+
+``run`` assembles the card and every study on one runner; ``points``
+declares what it reads from the results table.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.control import EMASmoother, EpochController, ProfileTracker, RelativeShiftDetector
 from repro.core.knapsack import solve_fractional_knapsack
 from repro.core.metrics import apc_error, metric_by_name
 from repro.core.model import AnalyticalModel
 from repro.core.partitioning import default_schemes, scheme_by_name
 from repro.experiments.figure2 import OPTIMAL_FOR
+from repro.experiments.plan import profile_points, run_points
 from repro.experiments.predicted import UTILIZED_BANDWIDTH
 from repro.experiments.report import format_table
 from repro.experiments.runner import ALL_SCHEME_NAMES, NOPART, Runner, scheduler_factory
@@ -39,6 +42,11 @@ from repro.sim.mc.stf import StartTimeFairScheduler
 from repro.workloads.mixes import HETERO_MIXES, HOMO_MIXES, mix_core_specs, mix_paper_workload
 
 __all__ = [
+    "AblationResult",
+    "points",
+    "run",
+    "render",
+    "card_points",
     "ModelVsSimCard",
     "model_vs_sim",
     "EnforcementResult",
@@ -94,6 +102,11 @@ def median_max(errors: dict[str, float]) -> str:
     """``"median / max"`` of a card's errors in percent, or ``"-"``."""
     e = list(errors.values())
     return f"{np.median(e) * 100:.2f} / {max(e) * 100:.2f}" if e else "-"
+
+
+def card_points(cfg: SimConfig, mixes: tuple[str, ...] = HOMO_MIXES + HETERO_MIXES):
+    """The profiles and every scheme's runs :func:`model_vs_sim` reads."""
+    return profile_points(mixes, cfg) + run_points(mixes, ALL_SCHEME_NAMES, cfg)
 
 
 def model_vs_sim(
@@ -282,6 +295,13 @@ def online_vs_static_ablation(
     """Run one scheme fully online (start at Equal shares; re-partition
     every epoch from the Sec. IV-C counters) and compare against the
     static alone-run-profiled partition on the scheme's own metric."""
+    from repro.control import (
+        EMASmoother,
+        EpochController,
+        ProfileTracker,
+        RelativeShiftDetector,
+    )
+
     metric_name = next(
         (m for m, s in OPTIMAL_FOR.items() if s == scheme_name), "hsp"
     )
@@ -366,3 +386,56 @@ def channel_scaling_ablation(
         apc_fast_bus=fast.apc_shared,
         apc_two_channels=two.apc_shared,
     )
+
+
+# -- the exhibit: the card plus every mechanism study --
+@dataclass(frozen=True)
+class AblationResult:
+    card: ModelVsSimCard
+    enforcement: EnforcementResult
+    profiler: ProfilerResult
+    priority_enforcement: PriorityEnforcementResult
+    channel_scaling: ChannelScalingResult
+    online_vs_static: OnlineVsStaticResult
+
+
+def points(cfg_for):
+    """The card's grid (Figure 2's); the studies read its hetero-5 runs
+    and simulate six dependent runs themselves: arrival-coupled tags,
+    the profiler's other counting mode, priority-as-shares, online
+    operation, and channel scaling twice."""
+    return card_points(cfg_for()), 6
+
+
+def run(runner: Runner) -> AblationResult:
+    """The card and every study, on one runner."""
+    card = model_vs_sim(runner)
+    return AblationResult(
+        card=card,
+        enforcement=enforcement_ablation(runner),
+        profiler=profiler_ablation(runner, card),
+        priority_enforcement=priority_enforcement_ablation(runner),
+        channel_scaling=channel_scaling_ablation(runner),
+        online_vs_static=online_vs_static_ablation(runner),
+    )
+
+
+def render(result: AblationResult) -> str:
+    enf, prof = result.enforcement, result.profiler
+    pe, cs, ovs = result.priority_enforcement, result.channel_scaling, result.online_vs_static
+    return "\n\n".join([
+        render_model_vs_sim(result.card),
+        f"enforcement ({enf.mix}/{enf.app}): target share "
+        f"{enf.target_share:.3f}, arrival-free {enf.share_arrival_free:.3f}, "
+        f"arrival-coupled {enf.share_arrival_coupled:.3f}",
+        f"profiler ({prof.mix}/{prof.scheme}): APC_alone estimation error "
+        + ", ".join(f"{m}={e * 100:.1f}%" for m, e in prof.errors.items()),
+        f"priority enforcement ({pe.mix}): Wsp strict={pe.wsp_strict:.3f} "
+        f"vs knapsack-shares={pe.wsp_shares:.3f}",
+        f"channel scaling ({cs.mix}): 2x-bus B={cs.total_apc_fast_bus:.5f} "
+        f"vs 2-channel B={cs.total_apc_two_channels:.5f} APC "
+        f"(ratio {cs.throughput_ratio:.3f})",
+        f"online vs static ({ovs.mix}/{ovs.scheme}): {ovs.metric} "
+        f"static={ovs.value_static:.3f} online={ovs.value_online:.3f} "
+        f"({ovs.relative_gap * 100:.1f}% of static)",
+    ])

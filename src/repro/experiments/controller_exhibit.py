@@ -4,7 +4,9 @@ Runs the :class:`~repro.control.controller.EpochController` against
 every non-stationary scenario family and scores it with the
 phase-oracle evaluation (:mod:`repro.control.evaluate`): convergence
 lag after each true change, time-weighted regret on Hsp/Wsp/MinF, and
-tracking error of the online profile estimate.
+tracking error of the online profile estimate (the ``track=`` column:
+the mean over decisions of the estimate's ``apc_error`` against the
+true profile).
 
 The acceptance gates ride on the **phase-swap** scenario -- the
 hardest tracking case, where the workload-wide share ranking inverts
@@ -51,6 +53,7 @@ class ScenarioOutcome:
     n_epochs: int
     n_changes_true: int
     n_changes_detected: int
+    #: mean over decisions of the estimate's apc_error
     tracking_error: float
     regret: dict[str, float]
     max_lag: int | None

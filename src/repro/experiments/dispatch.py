@@ -20,11 +20,14 @@ Executes the task DAG :mod:`repro.experiments.plan` compiles:
   1 KB; a pickle round trip costs less than a copy through a
   shared-memory segment and holds no file descriptor open in the parent.
 
-The worker entry points (``profile_task`` / ``run_task`` /
+The task functions (``profile_task`` / ``run_task`` /
 ``heuristic_task``) rebuild each simulation from a small picklable
-description, ``run_task`` through the serial ``Runner``'s
-:func:`~repro.experiments.runner.scheduler_factory`, so planned results
-are bit-identical to the serial ``Runner`` -- asserted by the test-suite.
+description, ``run_task`` through
+:func:`~repro.experiments.runner.scheduler_factory`.  They are the only
+code in :mod:`repro.experiments` that simulates a planned point: the
+pool runs them in workers, :func:`execute_local` in this process (the
+serial path, with the same payloads, SimCache protocol and spans), so
+pooled and serial results are bit-identical.
 """
 
 from __future__ import annotations
@@ -50,10 +53,10 @@ __all__ = [
     "CostModel",
     "Dispatcher",
     "DispatchStats",
-    "PlanResults",
     "get_dispatcher",
     "shutdown_dispatchers",
     "execute_plan",
+    "execute_local",
     "profile_task",
     "run_task",
     "task_worker",
@@ -283,31 +286,106 @@ def _task_attrs(kind: str, payload) -> dict:
     return {"mix": payload[0], "scheduler": payload[1]}
 
 
+def _run_traced(kind: str, payload, parent_id=None):
+    """One task under its ``parallel.*_task`` span, pool or in-process."""
+    with obs.span(
+        _SPAN_NAME[kind], attrs=_task_attrs(kind, payload), parent_id=parent_id
+    ):
+        if kind == "profile":
+            return profile_task(payload)
+        if kind == "run":
+            return run_task(payload)[1]
+        if kind == "heuristic":
+            return heuristic_task(payload)
+        from repro.surrogate.tasks import surrogate_profile_task, surrogate_run_task
+
+        if kind == "sprofile":
+            return surrogate_profile_task(payload)
+        return surrogate_run_task(payload)
+
+
 def task_worker(args):
     """Generic DAG worker: (digest, kind, payload, parent_span_id) ->
     (digest, kind, result, worker_spans, duration_s)."""
     digest, kind, payload, parent_id = args
     t0 = time.perf_counter()
-    with obs.span(
-        _SPAN_NAME[kind], attrs=_task_attrs(kind, payload), parent_id=parent_id
-    ):
-        if kind == "profile":
-            result = profile_task(payload)
-        elif kind == "run":
-            _key, result = run_task(payload)
-        elif kind == "heuristic":
-            result = heuristic_task(payload)
-        elif kind == "sprofile":
-            from repro.surrogate.tasks import surrogate_profile_task
-
-            result = surrogate_profile_task(payload)
-        elif kind == "srun":
-            from repro.surrogate.tasks import surrogate_run_task
-
-            result = surrogate_run_task(payload)
-        else:  # pragma: no cover - defensive
-            raise ConfigurationError(f"unknown task kind {kind!r}")
+    result = _run_traced(kind, payload, parent_id)
+    # the drained spans travel back to the parent beside the result
     return digest, kind, result, obs.tracer().drain(), time.perf_counter() - t0
+
+
+def _payload(task, results: dict):
+    """A task's picklable description; runs read their profiles' results."""
+    p = task.point
+    if task.kind == "profile":
+        return (p.bench, p.config)
+    if task.kind == "sprofile":
+        return (p.app, p.config)
+    if task.kind in ("run", "srun"):
+        alone_table = {
+            results[dep][0]: (results[dep][1], results[dep][2])
+            for dep in task.deps
+        }
+        if task.kind == "srun":
+            return (p.apps, p.scheme, p.config, alone_table)
+        return (p.mix, p.scheme, p.copies, p.config, alone_table)
+    return (p.mix, p.scheduler, p.copies, p.config)
+
+
+# ----------------------------------------------------------------------
+# the SimCache protocol: profiles and surrogate sweep results persist
+# across processes; shared-mode runs and heuristics do not
+# ----------------------------------------------------------------------
+def _cached(cache: SimCache, task):
+    """``task``'s result from the persistent cache, or None."""
+    if task.kind in ("profile", "sprofile"):
+        stored = cache.get(task.digest)
+        if stored is not None and "apc_alone" in stored and "ipc_alone" in stored:
+            name = task.point.bench if task.kind == "profile" else task.point.app.name
+            return (name, float(stored["apc_alone"]), float(stored["ipc_alone"]))
+    elif task.kind == "srun":
+        from repro.surrogate.tasks import SRUN_SCHEMA_VERSION
+
+        stored = cache.get(task.digest)
+        if (
+            stored is not None
+            and stored.get("schema_version") == SRUN_SCHEMA_VERSION
+            and isinstance(stored.get("samples"), list)
+        ):
+            return stored
+    return None
+
+
+def _store(cache: SimCache, digest: str, kind: str, result) -> None:
+    if kind in ("profile", "sprofile"):
+        _name, apc, ipc = result
+        cache.put(digest, {"apc_alone": apc, "ipc_alone": ipc})
+    elif kind == "srun":
+        cache.put(digest, result)
+
+
+def execute_local(plan, results: dict) -> None:
+    """Run ``plan``'s tasks missing from ``results`` in this process.
+
+    The pool's code without the pool: the same payloads, task functions,
+    SimCache protocol and ``parallel.*_task`` spans, nested under the
+    caller's current span.  Nothing is drained, so the caller's trace
+    keeps them.  Plan order puts every profile before its dependents.
+    """
+    cache = SimCache()
+    hits = 0
+    for digest, task in plan.tasks.items():
+        if digest in results:
+            continue
+        result = _cached(cache, task)
+        if result is None:
+            result = _run_traced(task.kind, _payload(task, results))
+            _store(cache, digest, task.kind, result)
+        else:
+            hits += 1
+        results[digest] = result
+    if hits:
+        obs.registry().counter("plan.cache_hits").inc(hits)
 
 
 # ----------------------------------------------------------------------
@@ -384,22 +462,6 @@ class Dispatcher:
             self._pool = None
 
     # ------------------------------------------------------------------
-    def _payload(self, task, results: dict):
-        p = task.point
-        if task.kind == "profile":
-            return (p.bench, p.config)
-        if task.kind == "sprofile":
-            return (p.app, p.config)
-        if task.kind in ("run", "srun"):
-            alone_table = {
-                results[dep][0]: (results[dep][1], results[dep][2])
-                for dep in task.deps
-            }
-            if task.kind == "srun":
-                return (p.apps, p.scheme, p.config, alone_table)
-            return (p.mix, p.scheme, p.copies, p.config, alone_table)
-        return (p.mix, p.scheduler, p.copies, p.config)
-
     def execute(
         self, plan, *, parent_span_id: str | None = None
     ) -> tuple[dict[str, object], DispatchStats]:
@@ -427,40 +489,14 @@ class Dispatcher:
 
         # 1. persistent-cache pass: disk-cached profiles (and surrogate
         # sweep results, which are plain JSON dicts) skip the pool
-        from repro.surrogate.tasks import SRUN_SCHEMA_VERSION
-
         remaining: dict[str, object] = {}
         for digest, task in plan.tasks.items():
-            if task.kind in ("profile", "sprofile"):
-                stored = cache.get(digest)
-                if (
-                    stored is not None
-                    and "apc_alone" in stored
-                    and "ipc_alone" in stored
-                ):
-                    name = (
-                        task.point.bench
-                        if task.kind == "profile"
-                        else task.point.app.name
-                    )
-                    results[digest] = (
-                        name,
-                        float(stored["apc_alone"]),
-                        float(stored["ipc_alone"]),
-                    )
-                    stats.n_cache_hits += 1
-                    continue
-            elif task.kind == "srun":
-                stored = cache.get(digest)
-                if (
-                    stored is not None
-                    and stored.get("schema_version") == SRUN_SCHEMA_VERSION
-                    and isinstance(stored.get("samples"), list)
-                ):
-                    results[digest] = stored
-                    stats.n_cache_hits += 1
-                    continue
-            remaining[digest] = task
+            stored = _cached(cache, task)
+            if stored is None:
+                remaining[digest] = task
+            else:
+                results[digest] = stored
+                stats.n_cache_hits += 1
         if stats.n_cache_hits:
             reg.counter("plan.cache_hits").inc(stats.n_cache_hits)
 
@@ -491,7 +527,7 @@ class Dispatcher:
                     args = (
                         digest,
                         remaining[digest].kind,
-                        self._payload(remaining[digest], results),
+                        _payload(remaining[digest], results),
                         parent_span_id,
                     )
                     futures[pool.submit(task_worker, args)] = digest
@@ -520,13 +556,7 @@ class Dispatcher:
                 results[r_digest] = result
                 self.last_execution_order.append(r_digest)
                 stats.n_tasks += 1
-                if kind in ("profile", "sprofile"):
-                    _name, apc, ipc = result
-                    cache.put(
-                        r_digest, {"apc_alone": apc, "ipc_alone": ipc}
-                    )
-                elif kind == "srun":
-                    cache.put(r_digest, result)
+                _store(cache, r_digest, kind, result)
                 for dep_digest in dependents.get(r_digest, ()):
                     n_deps[dep_digest] -= 1
                     if n_deps[dep_digest] == 0:
@@ -572,54 +602,15 @@ atexit.register(shutdown_dispatchers)
 # ----------------------------------------------------------------------
 # plan execution front door
 # ----------------------------------------------------------------------
-@dataclass
-class PlanResults:
-    """Executed plan: results by digest + scatter helpers."""
-
-    plan: object
-    results: dict[str, object]
-    stats: DispatchStats = field(default_factory=DispatchStats)
-
-    def runner(self, config, **runner_kwargs):
-        """A :class:`~repro.experiments.runner.Runner` pre-warmed with
-        every planned result at ``config`` -- exhibits assembled from it
-        perform only their residual (dependent) simulations."""
-        from repro.experiments.runner import Runner
-
-        runner = Runner(config, **runner_kwargs)
-        for digest, task in self.plan.tasks.items():
-            if task.point.config != config or digest not in self.results:
-                continue
-            if task.kind == "profile":
-                _bench, apc, ipc = self.results[digest]
-                runner._alone_cache[digest] = (apc, ipc)
-            elif task.kind == "run":
-                p = task.point
-                runner._run_cache[(p.mix, p.scheme, p.copies)] = self.results[
-                    digest
-                ]
-        return runner
-
-    def heuristic_sims(self, config) -> dict:
-        """{(mix, scheduler, copies): SimResult} at ``config``."""
-        out = {}
-        for digest, task in self.plan.tasks.items():
-            if (
-                task.kind == "heuristic"
-                and task.point.config == config
-                and digest in self.results
-            ):
-                p = task.point
-                out[(p.mix, p.scheduler, p.copies)] = self.results[digest]
-        return out
-
-
-def execute_plan(plan, max_workers: int | None = None) -> PlanResults:
-    """Execute a compiled sweep plan on the shared dispatcher."""
+def execute_plan(
+    plan, max_workers: int | None = None
+) -> tuple[dict[str, object], DispatchStats]:
+    """Execute a compiled sweep plan on the shared dispatcher; returns
+    its results table (digest -> result), which a
+    :class:`~repro.experiments.runner.Runner` reads, and the stats."""
     dispatcher = get_dispatcher(max_workers)
     with obs.span(
         "plan.dispatch",
         attrs={"tasks": plan.n_unique, "demanded": plan.n_demanded},
     ) as phase:
-        results, stats = dispatcher.execute(plan, parent_span_id=phase.span_id)
-    return PlanResults(plan=plan, results=results, stats=stats)
+        return dispatcher.execute(plan, parent_span_id=phase.span_id)

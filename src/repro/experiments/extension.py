@@ -24,17 +24,18 @@ import numpy as np
 
 from repro.core.metrics import ALL_METRICS
 from repro.experiments.figure2 import OPTIMAL_FOR
+from repro.experiments.plan import HeuristicPoint, profile_points, run_points
 from repro.experiments.report import format_grid
-from repro.experiments.runner import Runner
-from repro.sim.engine import simulate
+from repro.experiments.runner import NOPART, Runner
 from repro.sim.mc.parbs import PARBSScheduler
 from repro.sim.mc.tcm import TCMScheduler
-from repro.workloads.mixes import HETERO_MIXES, mix_core_specs
+from repro.workloads.mixes import HETERO_MIXES
 
 __all__ = [
     "HEURISTICS",
     "HEURISTIC_FACTORIES",
     "ExtensionResult",
+    "points",
     "run",
     "render",
 ]
@@ -50,9 +51,8 @@ def _tcm_factory(n: int) -> TCMScheduler:
     return TCMScheduler(n)
 
 
-#: module-level (picklable) factories -- the sweep dispatcher's workers
-#: resolve heuristic tasks through this same registry, so planned and
-#: serial extension runs construct identical schedulers
+#: module-level (picklable) factories the dispatcher's heuristic tasks
+#: resolve by name
 HEURISTIC_FACTORIES = {"parbs": _parbs_factory, "tcm": _tcm_factory}
 
 
@@ -75,24 +75,24 @@ class ExtensionResult:
         return out
 
 
-def run(
-    runner: Runner,
-    mixes: tuple[str, ...] = HETERO_MIXES,
-    *,
-    heuristic_sims: dict | None = None,
-) -> ExtensionResult:
-    """Run heuristics + derived optima on the given mixes.
+def points(cfg_for):
+    """The hetero mixes' profiles, No_partitioning and derived-optimum
+    runs, and one run per heuristic scheduler."""
+    cfg = cfg_for()
+    schemes = (NOPART,) + tuple(sorted(set(OPTIMAL_FOR.values())))
+    return (
+        profile_points(HETERO_MIXES, cfg)
+        + run_points(HETERO_MIXES, schemes, cfg)
+        + [HeuristicPoint(mix, h, 1, cfg) for mix in HETERO_MIXES for h in HEURISTICS]
+    ), 0
 
-    ``heuristic_sims`` optionally supplies pre-computed heuristic
-    simulations keyed ``(mix, scheduler, copies)`` (the shape
-    :meth:`repro.experiments.dispatch.PlanResults.heuristic_sims`
-    returns); missing entries are simulated here.
-    """
-    heuristic_sims = heuristic_sims or {}
+
+def run(runner: Runner, mixes: tuple[str, ...] = HETERO_MIXES) -> ExtensionResult:
+    """Run heuristics + derived optima on the given mixes."""
     grid: dict[str, dict[str, dict[str, float]]] = {}
     derived = sorted(set(OPTIMAL_FOR.values()))
     for mix in mixes:
-        base = runner.run(mix, "nopart")
+        base = runner.run(mix, NOPART)
         row: dict[str, dict[str, float]] = {}
         for scheme in derived:
             m = runner.run(mix, scheme).metrics
@@ -100,11 +100,8 @@ def run(
                 k: m[k] / base.metrics[k] if base.metrics[k] > 0 else float("inf")
                 for k in m
             }
-        specs = mix_core_specs(mix)
         for name in HEURISTICS:
-            sim = heuristic_sims.get((mix, name, 1))
-            if sim is None:
-                sim = simulate(specs, HEURISTIC_FACTORIES[name], runner.sim_config)
+            sim = runner.heuristic(mix, name)
             row[name] = {
                 m.name: (
                     m(sim.ipc_shared, base.ipc_alone) / base.metrics[m.name]

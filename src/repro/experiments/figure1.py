@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.metrics import ALL_METRICS
+from repro.experiments.plan import profile_points, run_points
 from repro.experiments.report import format_grid
-from repro.experiments.runner import Runner
+from repro.experiments.runner import NOPART, Runner
 
-__all__ = ["FIG1_MIX", "FIG1_SCHEMES", "Figure1Result", "run", "render"]
+__all__ = ["FIG1_MIX", "FIG1_SCHEMES", "Figure1Result", "points", "run", "render"]
 
 FIG1_MIX = "hetero-5"  # libquantum-milc-gromacs-gobmk
 FIG1_SCHEMES: tuple[str, ...] = ("equal", "prop", "sqrt", "prio_api", "prio_apc")
@@ -37,6 +38,13 @@ class Figure1Result:
     def best_scheme(self, metric: str) -> str:
         """Scheme with the highest normalized value of ``metric``."""
         return max(self.normalized, key=lambda s: self.normalized[s][metric])
+
+
+def points(cfg_for):
+    """The mix's profiles and its runs, No_partitioning first."""
+    cfg = cfg_for()
+    mixes = (FIG1_MIX,)
+    return profile_points(mixes, cfg) + run_points(mixes, (NOPART,) + FIG1_SCHEMES, cfg), 0
 
 
 def run(runner: Runner) -> Figure1Result:

@@ -25,11 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.metrics import ALL_METRICS
+from repro.experiments.plan import profile_points, run_points
 from repro.experiments.report import format_grid, pct
-from repro.experiments.runner import Runner
+from repro.experiments.runner import NOPART, Runner
 from repro.workloads.mixes import HETERO_MIXES, HOMO_MIXES
 
-__all__ = ["FIG2_SCHEMES", "OPTIMAL_FOR", "Figure2Result", "run", "render"]
+__all__ = ["FIG2_SCHEMES", "OPTIMAL_FOR", "Figure2Result", "points", "run", "render"]
 
 FIG2_SCHEMES: tuple[str, ...] = (
     "equal", "prop", "sqrt", "twothirds", "prio_apc", "prio_api",
@@ -88,6 +89,13 @@ class Figure2Result:
             vals = [self.grid[m][s][metric] for s in FIG2_SCHEMES]
             spreads.append(max(vals) - min(vals))
         return float(np.mean(spreads))
+
+
+def points(cfg_for):
+    """Every mix's profiles and runs, No_partitioning first."""
+    cfg = cfg_for()
+    mixes = HOMO_MIXES + HETERO_MIXES
+    return profile_points(mixes, cfg) + run_points(mixes, (NOPART,) + FIG2_SCHEMES, cfg), 0
 
 
 def run(runner: Runner, mixes: tuple[str, ...] | None = None) -> Figure2Result:

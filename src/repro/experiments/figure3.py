@@ -23,13 +23,16 @@ import numpy as np
 from repro.core.apps import AppProfile, Workload
 from repro.core.metrics import HarmonicWeightedSpeedup, SumOfIPCs, WeightedSpeedup
 from repro.core.qos import QoSPartitioner, QoSTarget
+from repro.experiments.plan import profile_points, run_points
 from repro.experiments.report import format_table
 from repro.experiments.runner import NOPART, Runner
 from repro.sim.mc.stf import StartTimeFairScheduler
 from repro.sim.engine import simulate
 from repro.workloads.mixes import QOS_MIXES, mix_core_specs
 
-__all__ = ["QOS_APP", "QOS_IPC_TARGET", "Figure3Row", "Figure3Result", "run", "render"]
+__all__ = [
+    "QOS_APP", "QOS_IPC_TARGET", "Figure3Row", "Figure3Result", "points", "run", "render",
+]
 
 QOS_APP = "hmmer"
 QOS_IPC_TARGET = 0.6  # the paper's empirically-reachable target
@@ -63,6 +66,16 @@ _OBJECTIVES = (
 )
 
 
+def points(cfg_for):
+    """The mixes' profiles and No_partitioning runs; the QoS-guarded
+    simulation per (mix, objective) depends on the nopart run's
+    utilized bandwidth, so ``run`` simulates it itself."""
+    cfg = cfg_for()
+    mixes = tuple(QOS_MIXES)
+    residue = len(QOS_MIXES) * len(_OBJECTIVES)
+    return profile_points(mixes, cfg) + run_points(mixes, (NOPART,), cfg), residue
+
+
 def run(runner: Runner) -> Figure3Result:
     """Execute the QoS experiment on both mixes and three objectives."""
     rows = []
@@ -81,9 +94,8 @@ def run(runner: Runner) -> Figure3Result:
         )
         ipc_alone = np.array([runner.alone_point(s)[1] for s in specs])
 
-        # the runner's nopart operating point (memoized / plan-warmed);
-        # the QoS-guarded simulations below depend on its utilized
-        # bandwidth and therefore stay serial under the sweep planner
+        # the QoS-guarded simulations below depend on the nopart run's
+        # utilized bandwidth: they are this exhibit's serial residue
         nopart = runner.run(mix, NOPART).sim
         be_alone = ipc_alone[be_idx]
 

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.figure2 import OPTIMAL_FOR
+from repro.experiments.plan import profile_points, run_points
 from repro.experiments.report import format_table
 from repro.experiments.runner import Runner
 from repro.sim.dram.config import ddr2_400, ddr2_800, ddr2_1600
 from repro.workloads.mixes import HETERO_MIXES
 
-__all__ = ["SCALE_POINTS", "Figure4Result", "run", "render"]
+__all__ = ["SCALE_POINTS", "Figure4Result", "points", "run", "render"]
 
 #: (label, DRAM config factory, application copies)
 SCALE_POINTS: tuple[tuple[str, object, int], ...] = (
@@ -47,6 +48,18 @@ class Figure4Result:
         return [self.gains[label][metric] for label, _, _ in SCALE_POINTS]
 
 
+def points(cfg_for):
+    """Per scale point: the hetero mixes' profiles at its DRAM and the
+    optimal schemes' and Equal's runs at its copy count."""
+    schemes = tuple(sorted(set(OPTIMAL_FOR.values()) | {"equal"}))
+    out: list = []
+    for _label, dram_factory, copies in SCALE_POINTS:
+        cfg = cfg_for(dram_factory())
+        out += profile_points(HETERO_MIXES, cfg)
+        out += run_points(HETERO_MIXES, schemes, cfg, copies=copies)
+    return out, 0
+
+
 def run(
     runner_factory,
     mixes: tuple[str, ...] = HETERO_MIXES,
@@ -55,8 +68,8 @@ def run(
     """Execute the scalability sweep.
 
     ``runner_factory(dram_config) -> Runner`` builds a runner per scale
-    point (each needs its own alone-profile cache: APC_alone is
-    re-measured at every bandwidth, exactly as the paper does).
+    point (APC_alone is re-measured at every bandwidth, exactly as the
+    paper does; the profiles' digests include the DRAM config).
     """
     gains: dict[str, dict[str, float]] = {}
     for label, dram_factory, copies in scale_points:

@@ -5,14 +5,14 @@ simulations drawn from the same design space: alone-mode *profile*
 points (one per benchmark per :class:`~repro.sim.engine.SimConfig`),
 shared-mode *run* points (one per (mix, scheme, copies, config)), and a
 few *heuristic-scheduler* points (PAR-BS / TCM for the extension
-study).  Run serially per exhibit -- today's ``repro-experiments all``
--- the same points are simulated again and again: Figure 1 is a strict
-subset of Figure 2's grid, Table III/IV re-profile the benchmarks
-Figure 2 already profiled, the extension/scorecard/ablation studies
-all re-run slices of the main grid.
+study).  Exhibits overlap heavily: Figure 1 is a strict subset of
+Figure 2's grid, Table III/IV re-profile the benchmarks Figure 2
+already profiled, the extension/scorecard/ablation studies all read
+slices of the main grid.
 
-This module *compiles* a set of exhibits into a single
-content-addressed task DAG:
+Each exhibit module declares the points its ``run`` reads in a
+``points(cfg_for)`` function beside it; this module *compiles* a set of
+exhibits into a single content-addressed task DAG:
 
 * every required simulation becomes a :class:`SimTask` keyed by a
   :func:`~repro.util.cache.config_digest` of everything it depends on
@@ -26,11 +26,14 @@ content-addressed task DAG:
   computation), which is the DAG's only edge type.
 
 Execution lives in :mod:`repro.experiments.dispatch`; this module is
-pure bookkeeping (compiling a plan performs zero simulations).
+pure bookkeeping (compiling a plan performs zero simulations).  The
+:class:`~repro.experiments.runner.Runner` compiles a one-point plan
+with :func:`points_plan` for each point missing from its results table.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -52,6 +55,8 @@ __all__ = [
     "SweepPlan",
     "PLANNABLE_EXHIBITS",
     "default_config",
+    "profile_points",
+    "run_points",
     "compile_plan",
     "grid_plan",
     "points_plan",
@@ -87,8 +92,8 @@ class ProfilePoint:
     kind = "profile"
 
     def digest(self) -> str:
-        # identical to Runner._alone_key, so the persistent SimCache
-        # serves planner tasks and vice versa
+        # the one key of a benchmark's alone-mode profile: the pool,
+        # the in-process walk and the persistent SimCache all use it
         from repro.workloads.spec import benchmark
 
         return config_digest(
@@ -135,8 +140,8 @@ class SurrogateProfilePoint:
     """One alone-mode profile of a synthetic surrogate app.
 
     The digest deliberately uses the same ``"alone-point"`` scheme as
-    :class:`ProfilePoint` / ``Runner._alone_key`` -- keyed by the
-    realized :class:`~repro.sim.cpu.CoreSpec` -- so surrogate sweeps
+    :class:`ProfilePoint` -- keyed by the realized
+    :class:`~repro.sim.cpu.CoreSpec` -- so surrogate sweeps
     share the persistent SimCache with every other consumer of
     alone-mode profiles.
     """
@@ -195,7 +200,8 @@ class SimTask:
 
 
 # ----------------------------------------------------------------------
-# per-exhibit demand: exactly the points each exhibit would simulate
+# point lists: each exhibit's ``points(cfg_for)`` builds its demand
+# from these, beside the code that reads the results
 # ----------------------------------------------------------------------
 def _mix_benches(mixes) -> tuple[str, ...]:
     from repro.workloads.mixes import mix_core_specs
@@ -211,11 +217,13 @@ def _mix_benches(mixes) -> tuple[str, ...]:
     )
 
 
-def _profiles(mixes, cfg: SimConfig) -> list[ProfilePoint]:
+def profile_points(mixes, cfg: SimConfig) -> list[ProfilePoint]:
+    """One alone-mode profile per distinct benchmark of ``mixes``."""
     return [ProfilePoint(b, cfg) for b in _mix_benches(mixes)]
 
 
-def _runs(mixes, schemes, cfg: SimConfig, copies: int = 1) -> list[RunPoint]:
+def run_points(mixes, schemes, cfg: SimConfig, copies: int = 1) -> list[RunPoint]:
+    """Every (mix, scheme) shared-mode run, mix-major."""
     return [
         RunPoint(mix, scheme, copies, cfg)
         for mix in mixes
@@ -223,161 +231,27 @@ def _runs(mixes, schemes, cfg: SimConfig, copies: int = 1) -> list[RunPoint]:
     ]
 
 
-def _demand_figure1(cfg_for):
-    from repro.experiments.figure1 import FIG1_MIX, FIG1_SCHEMES
-    from repro.experiments.runner import NOPART
-
-    cfg = cfg_for()
-    mixes = (FIG1_MIX,)
-    return _profiles(mixes, cfg) + _runs(mixes, (NOPART,) + FIG1_SCHEMES, cfg), 0
-
-
-def _demand_figure2(cfg_for):
-    from repro.experiments.figure2 import FIG2_SCHEMES
-    from repro.experiments.runner import NOPART
-    from repro.workloads.mixes import HETERO_MIXES, HOMO_MIXES
-
-    cfg = cfg_for()
-    mixes = HOMO_MIXES + HETERO_MIXES
-    return _profiles(mixes, cfg) + _runs(mixes, (NOPART,) + FIG2_SCHEMES, cfg), 0
-
-
-def _demand_figure3(cfg_for):
-    from repro.experiments.runner import NOPART
-    from repro.workloads.mixes import QOS_MIXES
-
-    cfg = cfg_for()
-    mixes = tuple(QOS_MIXES)
-    # the six QoS-guarded simulations depend on the nopart operating
-    # point (plan.beta needs its utilized bandwidth) and stay serial
-    return _profiles(mixes, cfg) + _runs(mixes, (NOPART,), cfg), 6
-
-
-def _demand_figure4(cfg_for):
-    from repro.experiments.figure2 import OPTIMAL_FOR
-    from repro.experiments.figure4 import SCALE_POINTS
-    from repro.workloads.mixes import HETERO_MIXES
-
-    schemes = tuple(sorted(set(OPTIMAL_FOR.values()) | {"equal"}))
-    points: list[Point] = []
-    for _label, dram_factory, copies in SCALE_POINTS:
-        cfg = cfg_for(dram_factory())
-        points += _profiles(HETERO_MIXES, cfg)
-        points += _runs(HETERO_MIXES, schemes, cfg, copies=copies)
-    return points, 0
-
-
-def _demand_table3(cfg_for):
-    from repro.workloads.spec import TABLE3
-
-    cfg = cfg_for()
-    return [ProfilePoint(name, cfg) for name in TABLE3], 0
-
-
-def _demand_table4(cfg_for):
-    from repro.workloads.mixes import MIXES
-
-    cfg = cfg_for()
-    return _profiles(tuple(MIXES), cfg), 0
-
-
-def _demand_ablation(cfg_for):
-    # the model-vs-sim card scores Figure 2's grid; the other studies
-    # read its hetero-5 Equal run plus six bespoke simulations:
-    # arrival-coupled enforcement, the profiler's other counting mode,
-    # priority-as-shares, online, and channel scaling x2
-    points, _ = _demand_figure2(cfg_for)
-    return points, 6
-
-
-def _demand_extension(cfg_for):
-    from repro.experiments.extension import HEURISTICS
-    from repro.experiments.figure2 import OPTIMAL_FOR
-    from repro.experiments.runner import NOPART
-    from repro.workloads.mixes import HETERO_MIXES
-
-    cfg = cfg_for()
-    schemes = (NOPART,) + tuple(sorted(set(OPTIMAL_FOR.values())))
-    points: list[Point] = _profiles(HETERO_MIXES, cfg)
-    points += _runs(HETERO_MIXES, schemes, cfg)
-    points += [
-        HeuristicPoint(mix, h, 1, cfg) for mix in HETERO_MIXES for h in HEURISTICS
-    ]
-    return points, 0
-
-
-def _demand_sensitivity(cfg_for):
-    from repro.experiments.figure2 import FIG2_SCHEMES
-    from repro.experiments.runner import NOPART
-    from repro.experiments.sensitivity import default_perturbations
-
-    mixes = ("hetero-5",)
-    points: list[Point] = []
-    for p in default_perturbations():
-        points += _profiles(mixes, p.sim_config)
-        points += _runs(mixes, (NOPART,) + FIG2_SCHEMES, p.sim_config)
-    return points, 0
-
-
-def _demand_predicted(cfg_for):
-    # the model-only grid simulates nothing
-    return [], 0
-
-
-def _demand_scorecard(cfg_for):
-    fig1, _ = _demand_figure1(cfg_for)
-    t3, _ = _demand_table3(cfg_for)
-    t4, _ = _demand_table4(cfg_for)
-    fig3, fig3_serial = _demand_figure3(cfg_for)
-    # the reduced Figure 2 check and the model-vs-sim card both read
-    # Figure 2's grid
-    fig2, _ = _demand_figure2(cfg_for)
-    return fig1 + t3 + t4 + fig2 + fig3, fig3_serial
-
-
-def _demand_regression(cfg_for):
-    from repro.core.partitioning import default_schemes
-    from repro.experiments.runner import NOPART
-
-    fig1, _ = _demand_figure1(cfg_for)
-    t3, _ = _demand_table3(cfg_for)
-    fig3, fig3_serial = _demand_figure3(cfg_for)
-    points = (
-        fig1
-        + t3
-        + _runs(("hetero-5",), tuple(default_schemes()) + (NOPART,), cfg_for())
-        + fig3
-    )
-    return points, fig3_serial
-
-
-def _demand_surrogate(cfg_for):
-    from repro.surrogate.space import smoke_settings
-    from repro.surrogate.sweep import sweep_points
-
-    # the exhibit fits and cross-validates on the smoke sweep; the
-    # published artifact's full sweep goes through `repro-surrogate fit`
-    return sweep_points(smoke_settings(), cfg_for), 0
-
-
-_DEMANDS = {
-    "figure1": _demand_figure1,
-    "figure2": _demand_figure2,
-    "figure3": _demand_figure3,
-    "figure4": _demand_figure4,
-    "table3": _demand_table3,
-    "table4": _demand_table4,
-    "ablation": _demand_ablation,
-    "extension": _demand_extension,
-    "sensitivity": _demand_sensitivity,
-    "predicted": _demand_predicted,
-    "scorecard": _demand_scorecard,
-    "regression": _demand_regression,
-    "surrogate": _demand_surrogate,
+#: exhibit -> the module whose ``points(cfg_for)`` declares its demand
+#: as ``(points, serial_residue)``: the simulations its ``run`` reads,
+#: and how many dependent simulations it runs itself during assembly
+_EXHIBIT_MODULES = {
+    "figure1": "repro.experiments.figure1",
+    "figure2": "repro.experiments.figure2",
+    "figure3": "repro.experiments.figure3",
+    "figure4": "repro.experiments.figure4",
+    "table3": "repro.experiments.table3",
+    "table4": "repro.experiments.table4",
+    "ablation": "repro.experiments.ablation",
+    "extension": "repro.experiments.extension",
+    "sensitivity": "repro.experiments.sensitivity",
+    "predicted": "repro.experiments.predicted",
+    "scorecard": "repro.experiments.scorecard",
+    "regression": "repro.experiments.regression",
+    "surrogate": "repro.experiments.surrogate_exhibit",
 }
 
 #: every exhibit the compiler knows how to walk
-PLANNABLE_EXHIBITS: tuple[str, ...] = tuple(_DEMANDS)
+PLANNABLE_EXHIBITS: tuple[str, ...] = tuple(_EXHIBIT_MODULES)
 
 
 # ----------------------------------------------------------------------
@@ -545,7 +419,7 @@ def compile_plan(
     quick: bool = False,
     config_factory=None,
 ) -> SweepPlan:
-    """Walk the requested exhibits and compile the deduplicated DAG.
+    """Compile the requested exhibits' ``points`` into one deduplicated DAG.
 
     ``config_factory(dram=None) -> SimConfig`` defaults to the CLI's
     :func:`default_config` at the given ``quick`` setting; pass a
@@ -558,7 +432,7 @@ def compile_plan(
             return default_config(_q, dram)
 
     names = tuple(exhibits)
-    unknown = [n for n in names if n not in _DEMANDS]
+    unknown = [n for n in names if n not in _EXHIBIT_MODULES]
     if unknown:
         raise ConfigurationError(
             f"cannot plan {unknown!r}; plannable: {PLANNABLE_EXHIBITS}"
@@ -568,7 +442,8 @@ def compile_plan(
         demand_points: dict[str, list[Point]] = {}
         residue: dict[str, int] = {}
         for name in names:
-            demand_points[name], residue[name] = _DEMANDS[name](config_factory)
+            module = importlib.import_module(_EXHIBIT_MODULES[name])
+            demand_points[name], residue[name] = module.points(config_factory)
         plan = _compile(demand_points, residue)
     obs.registry().gauge("parallel.dedup_ratio").set(plan.dedup_ratio)
     return plan
@@ -581,8 +456,8 @@ def grid_plan(  # reprolint: disable=dead-code
     """A single-grid plan: every (mix, scheme) run of one grid plus the
     alone profiles it depends on."""
     mixes = tuple(mixes)
-    points = _profiles(mixes, config)
-    points += _runs(mixes, tuple(schemes), config, copies)
+    points = profile_points(mixes, config)
+    points += run_points(mixes, tuple(schemes), config, copies)
     return _compile({"grid": points}, {"grid": 0})
 
 
@@ -590,8 +465,9 @@ def points_plan(points, *, name: str = "sweep") -> SweepPlan:
     """Compile an explicit point list into a single-demand plan.
 
     Like :func:`grid_plan` but for arbitrary points (the surrogate
-    sweep builds its own groups rather than mix x scheme grids); the
-    demand lists the profiles first.
+    sweep builds its own groups rather than mix x scheme grids, and a
+    Runner compiles each missing point with its profiles); the demand
+    lists the profiles first.
     """
     ordered = sorted(points, key=lambda p: not isinstance(p, _PROFILE_POINTS))
     return _compile({name: ordered}, {name: 0})

@@ -24,7 +24,7 @@ from repro.experiments.report import format_grid
 from repro.util.errors import ConfigurationError
 from repro.workloads.mixes import HETERO_MIXES, HOMO_MIXES, mix_paper_workload
 
-__all__ = ["PredictedResult", "run", "render"]
+__all__ = ["PredictedResult", "points", "run", "render"]
 
 #: the model-side baseline (see module docstring)
 BASELINE = "equal"
@@ -43,6 +43,11 @@ class PredictedResult:
 
     def average(self, mixes, scheme: str, metric: str) -> float:
         return float(np.mean([self.grid[m][scheme][metric] for m in mixes]))
+
+
+def points(cfg_for):
+    """The model-only grid simulates nothing."""
+    return [], 0
 
 
 def run(

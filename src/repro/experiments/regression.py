@@ -26,11 +26,13 @@ import json
 import pathlib
 from dataclasses import dataclass
 
+from repro.experiments import ablation, figure1, figure3, table3
 from repro.experiments.runner import Runner
 from repro.util.errors import ConfigurationError
 
 __all__ = [
     "BASELINE_PATH",
+    "points",
     "Drift",
     "collect",
     "save_baseline",
@@ -62,10 +64,17 @@ def _tolerance_for(key: str) -> tuple[float, float]:
     return (0.05, 0.10)
 
 
+def points(cfg_for):
+    """The exhibits :func:`collect` re-runs, with the card on hetero-5
+    (whose No_partitioning run also gives the FCFS bandwidth)."""
+    fig1, _ = figure1.points(cfg_for)
+    t3, _ = table3.points(cfg_for)
+    fig3, fig3_residue = figure3.points(cfg_for)
+    return fig1 + t3 + ablation.card_points(cfg_for(), ("hetero-5",)) + fig3, fig3_residue
+
+
 def collect(runner: Runner) -> dict[str, float]:
     """Measure every tracked quantity with the given runner."""
-    from repro.experiments import ablation, figure1, figure3, table3
-
     values: dict[str, float] = {}
 
     fig1 = figure1.run(runner)

@@ -5,8 +5,9 @@ This module reproduces the paper's methodology end-to-end:
 1. *Profiling*: each benchmark is run alone at the experiment's DRAM
    configuration to measure ``APC_alone`` / ``IPC_alone`` (the paper
    fast-forwards then profiles; our surrogates are stationary so a
-   single warmed-up window suffices).  Results are cached per
-   (benchmark, DRAM config, windows, seed).
+   single warmed-up window suffices).  A profile is keyed by
+   (benchmark, DRAM config, windows, seed), in memory and in the
+   persistent SimCache.
 2. *Partition computation*: the scheme under test converts the measured
    alone profiles into a share vector (share-based schemes) or a
    priority order (priority schemes) -- Sec. V-D.
@@ -20,12 +21,11 @@ This module reproduces the paper's methodology end-to-end:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro import obs
 from repro.core.apps import AppProfile, Workload
 from repro.core.metrics import ALL_METRICS
 from repro.core.partitioning import (
@@ -34,16 +34,22 @@ from repro.core.partitioning import (
     ShareBasedScheme,
     default_schemes,
 )
+from repro.experiments.dispatch import execute_local
+from repro.experiments.plan import (
+    HeuristicPoint,
+    ProfilePoint,
+    RunPoint,
+    points_plan,
+    profile_points,
+)
 from repro.sim.cpu import CoreSpec
-from repro.sim.engine import SimConfig, simulate
+from repro.sim.engine import SimConfig
 from repro.sim.mc.base import Scheduler
 from repro.sim.mc.fcfs import FCFSScheduler
 from repro.sim.mc.priority import PriorityScheduler
 from repro.sim.mc.stf import StartTimeFairScheduler
 from repro.sim.stats import SimResult
-from repro.util.cache import SimCache, config_digest
 from repro.util.errors import ConfigurationError
-from repro.workloads.mixes import mix_core_specs
 
 __all__ = ["SchemeRun", "Runner", "NOPART", "ALL_SCHEME_NAMES", "scheduler_factory"]
 
@@ -109,84 +115,37 @@ class SchemeRun:
 
 
 class Runner:
-    """Runs and caches profiling + shared-mode simulations.
+    """A read-only view of one results table at one simulation config.
 
-    Parameters
-    ----------
-    sim_config:
-        Windows/seed/DRAM for every run (alone and shared).
-    beta_source:
-        ``"measured"`` (default) computes shares from the simulator's own
-        alone-run profiles, as the paper's online profiling ultimately
-        provides; ``"paper"`` uses Table III's reference values directly
-        (the OS-supplied-reference mode of Sec. IV-C).
+    ``results`` maps a plan task's digest to its result -- the table
+    :meth:`~repro.experiments.dispatch.Dispatcher.execute` returns.
+    Every digest includes its config, so one table serves runners at
+    every config.  A point missing from the table is compiled with its
+    mix's profiles (:func:`~repro.experiments.plan.points_plan`) and run
+    in this process by the dispatcher's own task code and SimCache
+    protocol (:func:`~repro.experiments.dispatch.execute_local`); its
+    result joins the table.
     """
 
     def __init__(
-        self,
-        sim_config: SimConfig | None = None,
-        *,
-        beta_source: str = "measured",
+        self, sim_config: SimConfig | None = None, results: dict | None = None
     ) -> None:
         self.sim_config = sim_config or SimConfig()
-        if beta_source not in ("measured", "paper"):
-            raise ConfigurationError(
-                f"beta_source must be 'measured' or 'paper', got {beta_source!r}"
-            )
-        self.beta_source = beta_source
-        self._alone_cache: dict[str, tuple[float, float]] = {}
-        self._run_cache: dict[tuple, SchemeRun] = {}
-        #: persistent alone-profile cache (set to a disabled/diverted
-        #: instance via REPRO_NO_CACHE / REPRO_CACHE_DIR)
-        self.disk_cache = SimCache()
+        self.results: dict = {} if results is None else results
 
-    # ------------------------------------------------------------------
-    # profiling
-    # ------------------------------------------------------------------
-    def _alone_key(self, spec: CoreSpec) -> str:
-        """Digest of everything the alone run depends on.
-
-        The full core spec and sim config are hashed field-by-field --
-        keying on convenient summaries (a DRAM config's name, say) would
-        collide two configurations that share a label but differ in a
-        timing parameter, silently reusing the wrong profile.
-        """
-        base_spec = replace(spec, name=spec.name.split("#")[0])
-        return config_digest("alone-point", base_spec, self.sim_config)
+    def _read(self, point, profiles_of: str | None = None):
+        digest = point.digest()
+        if digest not in self.results:
+            profiles = profile_points((profiles_of,), point.config) if profiles_of else []
+            execute_local(points_plan([*profiles, point]), self.results)
+        return self.results[digest]
 
     def alone_point(self, spec: CoreSpec) -> tuple[float, float]:
-        """(apc_alone, ipc_alone) measured for one core spec.
-
-        Memoized twice: per-runner in memory, and across processes in
-        the persistent :class:`~repro.util.cache.SimCache` (so a second
-        figure regeneration performs zero alone-mode simulations).
-        """
-        key = self._alone_key(spec)
-        point = self._alone_cache.get(key)
-        reg = obs.registry()
-        if point is None:
-            stored = self.disk_cache.get(key)
-            if stored is not None:
-                point = (stored["apc_alone"], stored["ipc_alone"])
-                reg.counter("profile.cache_hits", layer="disk").inc()
-            else:
-                reg.counter("profile.cache_misses").inc()
-                base_spec = replace(spec, name=spec.name.split("#")[0])
-                with obs.span(
-                    "runner.profile", attrs={"bench": base_spec.name}
-                ):
-                    result = simulate(
-                        [base_spec], lambda n: FCFSScheduler(n), self.sim_config
-                    )
-                app = result.apps[0]
-                point = (app.apc, app.ipc)
-                self.disk_cache.put(
-                    key, {"apc_alone": point[0], "ipc_alone": point[1]}
-                )
-            self._alone_cache[key] = point
-        else:
-            reg.counter("profile.cache_hits", layer="memory").inc()
-        return point
+        """(apc_alone, ipc_alone) of a registered benchmark's core spec;
+        a copy (``name#i``) reads its benchmark's profile."""
+        point = ProfilePoint(spec.name.split("#")[0], self.sim_config)
+        _name, apc, ipc = self._read(point)
+        return apc, ipc
 
     def profiles(self, specs: Sequence[CoreSpec]) -> Workload:
         """Measured alone-mode profiles for a set of core specs."""
@@ -196,59 +155,14 @@ class Runner:
             apps.append(AppProfile(spec.name, api=spec.api, apc_alone=apc))
         return Workload.of("measured", apps)
 
-    # ------------------------------------------------------------------
-    # running
-    # ------------------------------------------------------------------
     def run(self, mix: str, scheme_name: str, *, copies: int = 1) -> SchemeRun:
-        """Run one (mix x scheme) simulation; cached per runner."""
-        key = (mix, scheme_name, copies)
-        if key in self._run_cache:
-            return self._run_cache[key]
+        """One (mix x scheme) run, shares derived from measured profiles."""
+        point = RunPoint(mix, scheme_name, copies, self.sim_config)
+        return self._read(point, profiles_of=mix)
 
-        with obs.span(
-            "runner.point",
-            attrs={"mix": mix, "scheme": scheme_name, "copies": copies},
-        ):
-            specs = mix_core_specs(mix, copies)
-            if self.beta_source == "paper":
-                from repro.workloads.mixes import mix_paper_workload
-
-                profiles = mix_paper_workload(mix, copies)
-                ipc_alone = profiles.ipc_alone
-                apc_alone = profiles.apc_alone
-            else:
-                profiles = self.profiles(specs)
-                ipc_alone = np.array(
-                    [self.alone_point(s)[1] for s in specs], dtype=float
-                )
-                apc_alone = profiles.apc_alone
-
-            sim = simulate(
-                specs, scheduler_factory(scheme_name, profiles), self.sim_config
-            )
-            run = SchemeRun(
-                mix=mix,
-                scheme=scheme_name,
-                sim=sim,
-                ipc_alone=ipc_alone,
-                apc_alone=apc_alone,
-            )
-        obs.registry().counter("runner.points").inc()
-        self._run_cache[key] = run
-        return run
-
-    def run_grid(
-        self,
-        mixes: Iterable[str],
-        scheme_names: Iterable[str],
-        *,
-        copies: int = 1,
-    ) -> dict[str, dict[str, SchemeRun]]:
-        """{mix: {scheme: SchemeRun}} over the full grid."""
-        return {
-            mix: {s: self.run(mix, s, copies=copies) for s in scheme_names}
-            for mix in mixes
-        }
+    def heuristic(self, mix: str, scheduler: str) -> SimResult:
+        """One heuristic-scheduler run (PAR-BS / TCM) of ``mix``."""
+        return self._read(HeuristicPoint(mix, scheduler, 1, self.sim_config))
 
     # ------------------------------------------------------------------
     # normalization helpers (Figs. 1-4 all report normalized metrics)

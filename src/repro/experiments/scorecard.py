@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments import figure1, figure2, figure3, table3, table4
 from repro.experiments.runner import Runner
 
-__all__ = ["Check", "Scorecard", "run", "render"]
+__all__ = ["Check", "Scorecard", "points", "run", "render"]
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,6 @@ class Scorecard:
 
 
 def _check_figure1(runner: Runner) -> list[Check]:
-    from repro.experiments import figure1
-
     result = figure1.run(runner)
     expected = {
         "hsp": ("sqrt",),
@@ -70,8 +69,6 @@ def _check_figure1(runner: Runner) -> list[Check]:
 
 
 def _check_table3(runner: Runner) -> list[Check]:
-    from repro.experiments import table3
-
     result = table3.run(runner)
     worst = result.worst_apkc_error
     return [
@@ -89,8 +86,6 @@ def _check_table3(runner: Runner) -> list[Check]:
 
 
 def _check_table4(runner: Runner) -> list[Check]:
-    from repro.experiments import table4
-
     result = table4.run(runner)
     bad_rsd = [
         r.mix
@@ -115,8 +110,6 @@ def _check_table4(runner: Runner) -> list[Check]:
 
 
 def _check_figure2(runner: Runner) -> list[Check]:
-    from repro.experiments import figure2
-
     result = figure2.run(
         runner, mixes=("hetero-4", "hetero-5", "hetero-6", "homo-1")
     )
@@ -159,8 +152,6 @@ def _check_figure2(runner: Runner) -> list[Check]:
 
 
 def _check_figure3(runner: Runner) -> list[Check]:
-    from repro.experiments import figure3
-
     result = figure3.run(runner)
     pin_err = max(
         abs(result.row(m, "wsp").qos_ipc_guaranteed - figure3.QOS_IPC_TARGET)
@@ -211,6 +202,13 @@ def _check_model_vs_sim(runner: Runner) -> list[Check]:
             ),
         )
     ]
+
+
+def points(cfg_for):
+    """What the checks read: the exhibits they re-run, with Figure 2's
+    grid covering both the reduced check and the model-vs-sim card."""
+    demands = [m.points(cfg_for) for m in (figure1, table3, table4, figure2, figure3)]
+    return [p for pts, _ in demands for p in pts], sum(r for _, r in demands)
 
 
 def run(runner: Runner) -> Scorecard:

@@ -16,13 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.experiments.figure2 import OPTIMAL_FOR
+from repro.experiments.figure2 import FIG2_SCHEMES, OPTIMAL_FOR
+from repro.experiments.plan import profile_points, run_points
 from repro.experiments.report import format_table
-from repro.experiments.runner import Runner
+from repro.experiments.runner import NOPART, Runner
 from repro.sim.dram.config import DRAMConfig, ddr2_400
 from repro.sim.engine import SimConfig
 
-__all__ = ["Perturbation", "SensitivityResult", "default_perturbations", "run", "render"]
+__all__ = [
+    "Perturbation", "SensitivityResult", "default_perturbations", "points", "run", "render",
+]
+
+#: the heterogeneous mix the winners are re-checked on
+MIX = "hetero-5"
 
 
 @dataclass(frozen=True)
@@ -99,20 +105,27 @@ class SensitivityResult:
         return all(self.holds(p) for p in self.winners)
 
 
+def points(cfg_for):
+    """Per perturbation: the mix's profiles and Figure 2 runs.  Each
+    perturbation carries its own config, so ``cfg_for`` is not read."""
+    out: list = []
+    for p in default_perturbations():
+        out += profile_points((MIX,), p.sim_config)
+        out += run_points((MIX,), (NOPART,) + FIG2_SCHEMES, p.sim_config)
+    return out, 0
+
+
 def run(
-    mix: str = "hetero-5",
+    mix: str = MIX,
     perturbations: tuple[Perturbation, ...] | None = None,
     *,
     runner_factory=None,
 ) -> SensitivityResult:
     """Re-run the winners check under each perturbation.
 
-    ``runner_factory(sim_config) -> Runner`` lets callers supply
-    pre-warmed runners (the sweep planner executes each perturbation's
-    grid ahead of time); the default builds a fresh serial runner.
+    ``runner_factory(sim_config) -> Runner`` lets callers build every
+    runner on one results table; the default gives each its own.
     """
-    from repro.experiments.figure2 import FIG2_SCHEMES
-
     perturbations = perturbations or default_perturbations()
     runner_factory = runner_factory or Runner
     winners: dict[str, dict[str, str]] = {}

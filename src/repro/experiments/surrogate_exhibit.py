@@ -9,12 +9,10 @@ compares each app's predicted shared-mode APC against the simulated
 value across every sweep run, per scheme.
 
 Starved points (simulated APC below ``rel_floor`` of the bus) are
-excluded from the relative-error average exactly like the fit's MAPE
-and the :mod:`repro.experiments.predicted` agreement exhibit: both
-sides agree the app is starved, and a near-zero denominator turns
-sampling noise into a meaningless ratio.  The gate is the ISSUE's
-serving-quality bar: mean per-point relative APC error <= 5% for every
-scheme.
+excluded from the relative-error average exactly like the fit's MAPE:
+both sides agree the app is starved, and a near-zero denominator turns
+sampling noise into a meaningless ratio.  The gate is the serving
+quality bar: mean per-point relative APC error <= 5% for every scheme.
 """
 
 from __future__ import annotations
@@ -30,9 +28,9 @@ from repro.surrogate.fit import (
     predict_norm,
 )
 from repro.surrogate.space import SweepSettings, smoke_settings
-from repro.surrogate.sweep import collect_dataset, run_sweep, sweep_digest
+from repro.surrogate.sweep import collect_dataset, run_sweep, sweep_digest, sweep_points
 
-__all__ = ["SchemeAgreement", "SurrogateExhibitResult", "run", "render"]
+__all__ = ["SchemeAgreement", "SurrogateExhibitResult", "points", "run", "render"]
 
 #: per-scheme gate on the mean per-point relative APC error
 MAX_MEAN_REL_ERROR = 0.05
@@ -69,15 +67,23 @@ class SurrogateExhibitResult:
         )
 
 
+def points(cfg_for):
+    """The smoke sweep at ``cfg_for``'s windows.
+
+    ``run`` executes the sweep at the surrogate's own windows
+    (:func:`~repro.surrogate.sweep.surrogate_config`), so none of these
+    planned points is one it reads; the pinned benchmark plan includes
+    them, and dropping them changes its digest.
+    """
+    return sweep_points(smoke_settings(), cfg_for), 0
+
+
 def run(
-    settings: SweepSettings | None = None,
-    *,
-    workers: int | None = None,
-    parallel: bool = True,
+    settings: SweepSettings | None = None, *, workers: int | None = None
 ) -> SurrogateExhibitResult:
     """Fit on the sweep and score every point against its simulation."""
     settings = settings or smoke_settings()
-    results = run_sweep(settings, workers=workers, parallel=parallel)
+    results = run_sweep(settings, workers=workers)
     dataset = collect_dataset(results.values())
     report = fit_surface(dataset)
     rel_floor = report.thresholds.rel_floor

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.plan import ProfilePoint
 from repro.experiments.report import format_table
 from repro.experiments.runner import Runner
 from repro.workloads.spec import TABLE3
 
-__all__ = ["Table3Row", "Table3Result", "run", "render"]
+__all__ = ["Table3Row", "Table3Result", "points", "run", "render"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,12 @@ def _classify(apkc: float) -> str:
     if apkc > 4.0:
         return "middle"
     return "low"
+
+
+def points(cfg_for):
+    """One alone-mode profile per Table III benchmark."""
+    cfg = cfg_for()
+    return [ProfilePoint(name, cfg) for name in TABLE3], 0
 
 
 def run(runner: Runner) -> Table3Result:

@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.apps import Workload, relative_std
+from repro.experiments.plan import profile_points
 from repro.experiments.report import format_table
 from repro.experiments.runner import Runner
-from repro.workloads.mixes import MIXES, mix_paper_workload
+from repro.workloads.mixes import MIXES, mix_core_specs, mix_paper_workload
 
-__all__ = ["Table4Row", "Table4Result", "PAPER_RSD", "run", "render"]
+__all__ = ["Table4Row", "Table4Result", "PAPER_RSD", "points", "run", "render"]
 
 #: Table IV's printed heterogeneity column
 PAPER_RSD: dict[str, float] = {
@@ -55,13 +56,16 @@ class Table4Result:
         raise KeyError(mix)
 
 
+def points(cfg_for):
+    """The alone-mode profile of every mix's benchmarks."""
+    return profile_points(tuple(MIXES), cfg_for()), 0
+
+
 def run(runner: Runner) -> Table4Result:
     """Build the mix table with reference and measured RSDs."""
     rows = []
     for mix, members in MIXES.items():
         paper_wl: Workload = mix_paper_workload(mix)
-        from repro.workloads.mixes import mix_core_specs
-
         specs = mix_core_specs(mix)
         measured = [runner.alone_point(s)[0] for s in specs]
         rows.append(

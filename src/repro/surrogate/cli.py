@@ -3,10 +3,9 @@
 Subcommands::
 
     repro-surrogate fit  [--preset smoke|full] [--out DIR] [--workers N]
-                         [--serial] [--min-r2 F] [--max-mape F]
-                         [--no-save] [--json]
+                         [--min-r2 F] [--max-mape F] [--no-save] [--json]
     repro-surrogate eval [--preset smoke|full] [--path DIR]
-                         [--workers N] [--serial] [--json]
+                         [--workers N] [--json]
     repro-surrogate show [--path DIR] [--json]
 
 ``fit`` runs the training sweep through the experiment planner (every
@@ -54,9 +53,7 @@ def _settings(name: str) -> SweepSettings:
 def _dataset(
     settings: SweepSettings, args: argparse.Namespace
 ) -> dict[str, list[RunSample]]:
-    results = run_sweep(
-        settings, workers=args.workers, parallel=not args.serial
-    )
+    results = run_sweep(settings, workers=args.workers)
     return collect_dataset(results.values())
 
 
@@ -192,11 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="process-pool size for the sweep (default: auto)",
-        )
-        p.add_argument(
-            "--serial",
-            action="store_true",
-            help="run the sweep in-process (no process pool)",
         )
 
     fit = sub.add_parser("fit", help="sweep, fit, gate and serialize")

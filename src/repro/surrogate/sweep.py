@@ -23,8 +23,7 @@ import numpy as np
 
 from repro.sim.engine import SimConfig
 from repro.surrogate.space import SweepSettings, sample_groups
-from repro.util.cache import SimCache, config_digest
-from repro.util.errors import ConfigurationError
+from repro.util.cache import config_digest
 
 __all__ = [
     "RunSample",
@@ -105,83 +104,22 @@ def compile_sweep(
     )
 
 
-def _execute_serial(plan: Any) -> dict[str, Any]:
-    """In-process plan execution (tests, small sweeps): same SimCache
-    protocol as the dispatcher, no process pool."""
-    from repro.surrogate.tasks import (
-        SRUN_SCHEMA_VERSION,
-        surrogate_profile_task,
-        surrogate_run_task,
-    )
-
-    cache = SimCache()
-    results: dict[str, Any] = {}
-    # plan.tasks is profiles-first (points_plan inserts them first), so
-    # a single in-order walk satisfies every dependency
-    for digest, task in plan.tasks.items():
-        point = task.point
-        if task.kind == "sprofile":
-            stored = cache.get(digest)
-            if (
-                stored is not None
-                and "apc_alone" in stored
-                and "ipc_alone" in stored
-            ):
-                results[digest] = (
-                    point.app.name,
-                    float(stored["apc_alone"]),
-                    float(stored["ipc_alone"]),
-                )
-                continue
-            name, apc, ipc = surrogate_profile_task((point.app, point.config))
-            cache.put(digest, {"apc_alone": apc, "ipc_alone": ipc})
-            results[digest] = (name, apc, ipc)
-        elif task.kind == "srun":
-            stored = cache.get(digest)
-            if (
-                stored is not None
-                and stored.get("schema_version") == SRUN_SCHEMA_VERSION
-                and isinstance(stored.get("samples"), list)
-            ):
-                results[digest] = stored
-                continue
-            alone_table = {
-                results[d][0]: (results[d][1], results[d][2])
-                for d in task.deps
-            }
-            out = surrogate_run_task(
-                (point.apps, point.scheme, point.config, alone_table)
-            )
-            cache.put(digest, out)
-            results[digest] = out
-        else:  # pragma: no cover - defensive
-            raise ConfigurationError(
-                f"surrogate sweeps cannot execute {task.kind!r} tasks serially"
-            )
-    return results
-
-
 def run_sweep(
     settings: SweepSettings,
     config_factory: ConfigFactory | None = None,
     *,
     workers: int | None = None,
-    parallel: bool = True,
 ) -> dict[str, dict[str, Any]]:
     """Execute the sweep; returns ``{srun digest: result dict}``.
 
-    ``parallel=True`` routes through the shared cost-aware dispatcher
-    (:func:`repro.experiments.dispatch.execute_plan`); ``False`` runs
-    in-process.  Either way, results land in (and are served from) the
-    persistent SimCache.
+    Runs on the shared cost-aware dispatcher
+    (:func:`repro.experiments.dispatch.execute_plan`); results land in
+    (and are served from) the persistent SimCache.
     """
-    plan = compile_sweep(settings, config_factory)
-    if parallel:
-        from repro.experiments.dispatch import execute_plan
+    from repro.experiments.dispatch import execute_plan
 
-        results = execute_plan(plan, workers).results
-    else:
-        results = _execute_serial(plan)
+    plan = compile_sweep(settings, config_factory)
+    results, _stats = execute_plan(plan, workers)
     return {
         digest: results[digest]
         for digest, task in plan.tasks.items()

@@ -1,8 +1,8 @@
 """Tests for the cost-aware DAG dispatcher (experiments.dispatch).
 
-The load-bearing property: a plan-executed grid is *bit-identical*
-(``==``, not allclose) to the serial Runner's -- the worker entry points
-reuse the serial Runner's wiring, so equality is exact, and these tests
+The load-bearing property: pool results are *bit-identical* (``==``,
+not allclose) to the in-process walk's -- both run the same task
+functions on the same payloads, so equality is exact, and these tests
 assert it exactly.
 """
 
@@ -10,15 +10,25 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.experiments.dispatch import (
     CostModel,
     Dispatcher,
+    execute_local,
     execute_plan,
     profile_task,
     resolve_workers,
     run_task,
 )
-from repro.experiments.plan import compile_plan, grid_plan
+from repro.experiments.extension import HEURISTICS
+from repro.experiments.plan import (
+    HeuristicPoint,
+    compile_plan,
+    grid_plan,
+    points_plan,
+    profile_points,
+    run_points,
+)
 from repro.experiments.runner import Runner
 from repro.sim.engine import SimConfig
 from repro.util.errors import ConfigurationError
@@ -70,6 +80,8 @@ class TestValidation:
 
 class TestWorkerFunctions:
     def test_profile_task_matches_runner(self):
+        # the Runner's in-process walk reads the profile through the
+        # same task function
         name, apc, ipc = profile_task(("gobmk", TINY))
         assert name == "gobmk"
         from repro.workloads.spec import benchmark
@@ -157,23 +169,39 @@ class TestCostModel:
         assert "theirs" in merged._by_digest
 
 
+def _engine_runs() -> float:
+    return obs.registry().get_value("engine.runs") or 0.0
+
+
 class TestExecution:
-    def test_grid_identity_exact(self, dispatcher):
-        """Plan-executed grid == serial Runner grid, field for field."""
+    def test_grid_identity_exact(self, dispatcher, monkeypatch):
+        """Pool results == in-process results, field for field, for
+        profile, run and heuristic tasks."""
+        # no SimCache: the in-process walk must simulate every profile
+        # itself rather than read the ones the pool wrote
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
         mixes = ("hetero-5",)
-        schemes = ("nopart", "equal")
-        plan = grid_plan(mixes, schemes, TINY)
-        results, stats = dispatcher.execute(plan)
-        serial = Runner(TINY).run_grid(mixes, schemes)
+        plan = points_plan(
+            profile_points(mixes, TINY)
+            + run_points(mixes, ("nopart", "equal"), TINY)
+            + [HeuristicPoint("hetero-5", h, 1, TINY) for h in HEURISTICS]
+        )
+        pooled, stats = dispatcher.execute(plan)
+        local: dict = {}
+        execute_local(plan, local)
+        assert set(pooled) == set(local) == set(plan.tasks)
+        kinds = set()
         for digest, task in plan.tasks.items():
-            if task.kind != "run":
-                continue
-            got = results[digest]
-            want = serial[task.point.mix][task.point.scheme]
-            assert got.sim == want.sim  # exact dataclass equality
-            assert list(got.ipc_alone) == list(want.ipc_alone)
-            assert list(got.apc_alone) == list(want.apc_alone)
-            assert got.metrics == want.metrics
+            got, want = pooled[digest], local[digest]
+            kinds.add(task.kind)
+            if task.kind == "run":
+                assert got.sim == want.sim  # exact dataclass equality
+                assert list(got.ipc_alone) == list(want.ipc_alone)
+                assert list(got.apc_alone) == list(want.apc_alone)
+                assert got.metrics == want.metrics
+            else:  # profile tuples and heuristic SimResults
+                assert got == want
+        assert kinds == {"profile", "run", "heuristic"}
         assert stats.n_tasks == len(plan.tasks)
         assert set(stats.task_s) == set(plan.tasks)
 
@@ -277,41 +305,46 @@ class TestTelemetry:
 
 class TestExecutePlan:
     def test_multi_exhibit_plan_warms_runner(self):
+        from repro.experiments import figure1, table3
+
         plan = compile_plan(
             ("figure1", "table3"), config_factory=tiny_factory
         )
-        results = execute_plan(plan, max_workers=2)
-        warmed = results.runner(TINY)
-        serial = Runner(TINY)
-        # figure1's grid out of the warmed runner: exact equality
+        results, _ = execute_plan(plan, max_workers=2)
+        warmed = Runner(TINY, results)
+        # both exhibits assemble from the table without simulating
+        before = _engine_runs()
+        figure1.run(warmed)
+        table3.run(warmed)
+        assert _engine_runs() == before
+        # figure1's grid out of the table == an in-process run, exactly
         run_w = warmed.run("hetero-5", "equal")
-        run_s = serial.run("hetero-5", "equal")
+        run_s = Runner(TINY).run("hetero-5", "equal")
         assert run_w.sim == run_s.sim
         assert run_w.metrics == run_s.metrics
-        # profiles warmed too: table3's benchmarks resolve without
-        # new simulations (alone cache already has the digest)
-        from repro.workloads.spec import benchmark
 
-        spec = benchmark("gobmk").core_spec()
-        assert warmed._alone_key(spec) in warmed._alone_cache
-
-    def test_heuristic_sims_scattered(self):
+    def test_runner_reads_planned_heuristics(self):
         plan = compile_plan(("extension",), config_factory=tiny_factory)
-        results = execute_plan(plan, max_workers=2)
-        sims = results.heuristic_sims(TINY)
-        assert sims  # parbs/tcm on the hetero mixes
-        for (mix, sched, copies), sim in sims.items():
-            assert sched in ("parbs", "tcm")
-            assert copies == 1
+        results, _ = execute_plan(plan, max_workers=2)
+        runner = Runner(TINY, results)
+        heuristics = [t for t in plan.tasks.values() if t.kind == "heuristic"]
+        assert heuristics  # parbs/tcm on the hetero mixes
+        before = _engine_runs()
+        for task in heuristics:
+            p = task.point
+            assert p.scheduler in HEURISTICS and p.copies == 1
+            sim = runner.heuristic(p.mix, p.scheduler)
+            assert sim is results[task.digest]
             assert sim.total_apc > 0
+        assert _engine_runs() == before
 
     def test_exhibit_output_identity_figure1(self):
-        """End to end: the rendered figure1 text from a plan-warmed
-        runner equals the serial rendering exactly."""
+        """End to end: the rendered figure1 text from the pool's results
+        equals the in-process rendering exactly."""
         from repro.experiments import figure1
 
         plan = compile_plan(("figure1",), config_factory=tiny_factory)
-        results = execute_plan(plan, max_workers=2)
-        planned_text = figure1.render(figure1.run(results.runner(TINY)))
+        results, _ = execute_plan(plan, max_workers=2)
+        planned_text = figure1.render(figure1.run(Runner(TINY, results)))
         serial_text = figure1.render(figure1.run(Runner(TINY)))
         assert planned_text == serial_text

@@ -6,10 +6,8 @@ import pytest
 from repro.experiments.runner import (
     ALL_SCHEME_NAMES,
     NOPART,
-    Runner,
     scheduler_factory,
 )
-from repro.sim.engine import SimConfig
 from repro.sim.mc.fcfs import FCFSScheduler
 from repro.sim.mc.priority import PriorityScheduler
 from repro.sim.mc.stf import StartTimeFairScheduler
@@ -88,23 +86,6 @@ class TestRunCaching:
         norm = runner.normalized_metrics("hetero-5", [NOPART])
         for v in norm[NOPART].values():
             assert v == pytest.approx(1.0)
-
-    def test_beta_source_validation(self):
-        with pytest.raises(ConfigurationError):
-            Runner(SimConfig(), beta_source="guessed")
-
-    def test_paper_beta_source(self):
-        quick = Runner(
-            SimConfig(warmup_cycles=20_000.0, measure_cycles=80_000.0, seed=3),
-            beta_source="paper",
-        )
-        run = quick.run("hetero-5", "equal")
-        # with paper profiles, ipc_alone comes straight from Table III
-        from repro.workloads.mixes import mix_paper_workload
-
-        np.testing.assert_allclose(
-            run.ipc_alone, mix_paper_workload("hetero-5").ipc_alone
-        )
 
     def test_all_scheme_names_cover_paper(self):
         assert set(ALL_SCHEME_NAMES) == {

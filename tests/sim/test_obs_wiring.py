@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import obs
@@ -9,6 +11,7 @@ from repro.experiments.runner import Runner
 from repro.sim.cpu import CoreSpec
 from repro.sim.engine import SimConfig, simulate
 from repro.sim.mc.fcfs import FCFSScheduler
+from repro.workloads.spec import benchmark
 
 
 @pytest.fixture(autouse=True)
@@ -75,28 +78,37 @@ class TestEngineSpans:
 
 
 class TestRunnerWiring:
+    """The Runner simulates through the dispatcher's task code, in this
+    process, under the same ``parallel.*_task`` spans as the pool."""
+
     def test_profile_cache_counters_and_span(self):
+        spec = benchmark("gobmk").core_spec()  # a point is keyed by name
         runner = Runner(CFG)
-        runner.alone_point(_spec("bench"))
+        runner.alone_point(spec)
         reg = obs.registry()
-        assert reg.get_value("profile.cache_misses") == 1.0
-        assert len(obs.tracer().find("runner.profile")) == 1
-        # second call hits the in-memory layer
-        runner.alone_point(_spec("bench"))
-        assert reg.get_value("profile.cache_hits", layer="memory") == 1.0
-        # a fresh runner sees the persistent layer instead
-        runner2 = Runner(CFG)
-        runner2.alone_point(_spec("bench"))
-        assert reg.get_value("profile.cache_hits", layer="disk") == 1.0
-        assert reg.get_value("profile.cache_misses") == 1.0
+        (task,) = obs.tracer().find("parallel.profile_task")
+        assert task.attrs == {"bench": "gobmk"}
+        assert reg.get_value("engine.runs") == 1.0
+        # a second read hits the runner's results table
+        runner.alone_point(spec)
+        assert reg.get_value("plan.cache_hits") is None
+        # a fresh runner reads the persistent cache instead
+        Runner(CFG).alone_point(spec)
+        assert reg.get_value("plan.cache_hits") == 1.0
+        assert reg.get_value("engine.runs") == 1.0
+        assert len(obs.tracer().find("parallel.profile_task")) == 1
 
     def test_run_point_span_and_counter(self):
-        runner = Runner(CFG)
-        runner.run("homo-1", "nopart")
-        assert obs.registry().get_value("runner.points") == 1.0
-        (point,) = obs.tracer().find("runner.point")
-        assert point.attrs == {"mix": "homo-1", "scheme": "nopart", "copies": 1}
-        # profiling runs nest under the point that triggered them
-        profiles = obs.tracer().find("runner.profile")
-        assert profiles
-        assert all(p.parent_id == point.span_id for p in profiles)
+        with obs.span("caller"):
+            Runner(CFG).run("homo-1", "nopart")
+        # nothing drains the caller's trace: its own span is recorded
+        (caller,) = obs.tracer().find("caller")
+        (run,) = obs.tracer().find("parallel.run_task")
+        assert run.attrs == {"mix": "homo-1", "scheme": "nopart"}
+        profiles = obs.tracer().find("parallel.profile_task")
+        assert len(profiles) == 4
+        assert obs.registry().get_value("engine.runs") == 5.0
+        # in-process tasks nest under the caller's span, in this process
+        for task in [run, *profiles]:
+            assert task.parent_id == caller.span_id
+            assert task.pid == os.getpid()
